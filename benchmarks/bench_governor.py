@@ -14,6 +14,7 @@ instance.
 """
 
 import math
+import time
 
 from repro.bench import Experiment
 from repro.core.rpq import count_paths_exact, parse_regex
@@ -78,3 +79,28 @@ def test_r1b_degraded_answer_quality(record_experiment):
     # Within the budget the exact rung finishes, and exactly.
     assert result.quality == "exact"
     assert result.value == exact
+
+
+def test_exponential_count_degrades_under_100ms():
+    """The headline acceptance scenario: exact would run for tens of
+    seconds; the governed run answers in ~the deadline, tagged."""
+    # On the real clock, so whether the FPRAS rung finishes its slice of
+    # the 100 ms depends on how fast the host is; tier-1 runs the same
+    # scenario on a virtual clock (tests/test_exec_governor.py).
+    graph = complete_multigraph(3)
+    ctx = Context(Budget(deadline=0.1))
+    start = time.perf_counter()
+    result = count_paths_governed(graph, _adversary(14), 30, ctx,
+                                  **_FPRAS_KWARGS)
+    elapsed = time.perf_counter() - start
+    assert result.quality == "approx"
+    assert result.value > 0
+    assert len(result.degradations) == 1
+    assert result.degradations[0].from_quality == "exact"
+    assert result.degradations[0].to_quality == "approx"
+    assert ctx.stats.degradations == result.degradations
+    # Generous ceiling (the FPRAS rung must still finish its slice),
+    # but orders of magnitude under the exact evaluation.
+    assert elapsed < 5.0
+    assert result.banner() is not None
+    assert "DEGRADED (approx)" in result.banner()

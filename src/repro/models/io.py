@@ -8,8 +8,15 @@ property maps.
 The format serializes graph *content* only: the version counter and
 mutation log (:mod:`repro.cache.versioning`) are deliberately excluded.
 They describe one in-process object's history, not the graph, so a loaded
-graph always starts at a fresh version with an empty log — ``loads(dumps(g))
+graph always starts at version 0 with an empty log — ``loads(dumps(g))
 == g`` compares structure and data, never histories.
+
+Labeled and property documents decode through the models' one-pass
+``build`` (:meth:`~repro.models.labeled.LabeledGraph.build`), which fills
+the indexes directly instead of logging one record per inserted element.
+That is also the snapshot half of storage recovery
+(:mod:`repro.storage.durable`), which fast-forwards the loaded graph to
+the snapshot's version before replaying the WAL tail.
 """
 
 from __future__ import annotations
@@ -25,27 +32,34 @@ from repro.models.vector import VectorGraph, VectorSchema
 from repro.util import canonical_sort_key
 
 
+#: What a malformed document raises somewhere inside graph construction:
+#: a missing key, a list where a dict belongs, a bad scalar, or ids that
+#: contradict each other (e.g. a duplicate edge).
+_DECODE_FAILURES = (KeyError, TypeError, ValueError, AttributeError,
+                    GraphError)
+
+
+def _decode_error(error: Exception, field: str) -> GraphDecodeError:
+    if isinstance(error, KeyError):
+        return GraphDecodeError(f"missing key {error.args[0]!r}", field=field)
+    return GraphDecodeError(str(error), field=field)
+
+
 @contextmanager
 def _decoding(field: str):
     """Convert raw decode-time failures into :class:`GraphDecodeError`.
 
-    A malformed document raises ``KeyError`` (missing key), ``TypeError``
-    (a list where a dict belongs), ``ValueError`` (bad scalar) or
-    :class:`GraphError` (ids that contradict each other, e.g. a duplicate
-    edge) somewhere deep in graph construction.  Callers — WAL/snapshot
-    recovery above all — need to tell *corrupt input* apart from library
-    bugs, so every such escape is re-raised as a typed error carrying the
-    document coordinate it happened at.
+    Callers — WAL/snapshot recovery above all — need to tell *corrupt
+    input* apart from library bugs, so every :data:`_DECODE_FAILURES`
+    escape is re-raised as a typed error carrying the document
+    coordinate it happened at.
     """
     try:
         yield
     except GraphDecodeError:
         raise
-    except KeyError as error:
-        raise GraphDecodeError(f"missing key {error.args[0]!r}",
-                               field=field) from error
-    except (TypeError, ValueError, AttributeError, GraphError) as error:
-        raise GraphDecodeError(str(error), field=field) from error
+    except _DECODE_FAILURES as error:
+        raise _decode_error(error, field) from error
 
 
 def _items(data: dict[str, Any], key: str, field: str) -> list:
@@ -76,16 +90,43 @@ def property_graph_to_dict(graph: PropertyGraph) -> dict[str, Any]:
 def property_graph_from_dict(data: dict[str, Any]) -> PropertyGraph:
     if data.get("model") != "property":
         raise ConversionError(f"not a property-graph document: {data.get('model')!r}")
-    graph = PropertyGraph()
-    for index, node in enumerate(_items(data, "nodes", "nodes")):
-        with _decoding(f"nodes[{index}]"):
-            graph.add_node(node["id"], node.get("label", ""),
-                           node.get("properties", {}))
-    for index, edge in enumerate(_items(data, "edges", "edges")):
-        with _decoding(f"edges[{index}]"):
-            graph.add_edge(edge["id"], edge["source"], edge["target"],
-                           edge.get("label", ""), edge.get("properties", {}))
-    return graph
+    return _build_rows(PropertyGraph.build, data, _property_node_row,
+                       _property_edge_row)
+
+
+def _property_node_row(node: dict) -> tuple:
+    return node["id"], node.get("label", ""), node.get("properties", {})
+
+
+def _property_edge_row(edge: dict) -> tuple:
+    return (edge["id"], edge["source"], edge["target"],
+            edge.get("label", ""), edge.get("properties", {}))
+
+
+def _build_rows(build, data: dict[str, Any], node_row, edge_row):
+    """``build(node rows, edge rows)`` over the document's element lists.
+
+    ``build`` takes the rows one at a time, so the position of the row
+    being read is also the position of a row ``build`` rejects: one
+    handler around the whole build names the failing element
+    (``nodes[3]``).  The ``edges`` list is only looked up once every node
+    row is in, as a per-element decode would.
+    """
+    position = ["nodes", 0]
+
+    def rows(key: str, shape):
+        items = _items(data, key, key)
+        position[0] = key
+        for index, item in enumerate(items):
+            position[1] = index
+            yield shape(item)
+
+    try:
+        return build(rows("nodes", node_row), rows("edges", edge_row))
+    except GraphDecodeError:
+        raise
+    except _DECODE_FAILURES as error:
+        raise _decode_error(error, f"{position[0]}[{position[1]}]") from error
 
 
 def labeled_graph_to_dict(graph: LabeledGraph) -> dict[str, Any]:
@@ -99,15 +140,16 @@ def labeled_graph_to_dict(graph: LabeledGraph) -> dict[str, Any]:
 def labeled_graph_from_dict(data: dict[str, Any]) -> LabeledGraph:
     if data.get("model") != "labeled":
         raise ConversionError(f"not a labeled-graph document: {data.get('model')!r}")
-    graph = LabeledGraph()
-    for index, node in enumerate(_items(data, "nodes", "nodes")):
-        with _decoding(f"nodes[{index}]"):
-            graph.add_node(node["id"], node.get("label", ""))
-    for index, edge in enumerate(_items(data, "edges", "edges")):
-        with _decoding(f"edges[{index}]"):
-            graph.add_edge(edge["id"], edge["source"], edge["target"],
-                           edge.get("label", ""))
-    return graph
+    return _build_rows(LabeledGraph.build, data, _labeled_node_row,
+                       _labeled_edge_row)
+
+
+def _labeled_node_row(node: dict) -> tuple:
+    return node["id"], node.get("label", "")
+
+
+def _labeled_edge_row(edge: dict) -> tuple:
+    return edge["id"], edge["source"], edge["target"], edge.get("label", "")
 
 
 def vector_graph_to_dict(graph: VectorGraph) -> dict[str, Any]:

@@ -25,6 +25,11 @@ DEFAULT_LABEL = ""
 _EMPTY: dict = {}
 
 
+def _label_conflict(node: Const, existing: Const, label: Const) -> GraphError:
+    return GraphError(
+        f"node {node!r} already has label {existing!r}, not {label!r}")
+
+
 class LabeledGraph(MultiGraph):
     """A multigraph whose nodes and edges each carry one label.
 
@@ -55,8 +60,7 @@ class LabeledGraph(MultiGraph):
         """
         existing = self._node_labels.get(node)
         if existing is not None and label is not None and existing != label:
-            raise GraphError(
-                f"node {node!r} already has label {existing!r}, not {label!r}")
+            raise _label_conflict(node, existing, label)
         super().add_node(node)
         if node not in self._node_labels:
             resolved = DEFAULT_LABEL if label is None else label
@@ -222,14 +226,40 @@ class LabeledGraph(MultiGraph):
     # -- bulk loading ------------------------------------------------------
 
     @classmethod
-    def build(cls,
-              nodes: Iterable[tuple[Const, Const]],
-              edges: Iterable[tuple[Const, Const, Const, Const]],
-              ) -> "LabeledGraph":
-        """Build from (node, label) and (edge, source, target, label) rows."""
+    def build(cls, nodes: Iterable[tuple],
+              edges: Iterable[tuple]) -> "LabeledGraph":
+        """Build from (node, label) and (edge, source, target, label) rows.
+
+        A subclass takes the rows its ``add_node``/``add_edge`` take
+        (:class:`~repro.models.property.PropertyGraph` adds an optional
+        property map).  One pass straight into the indexes, with the
+        checks and insertion order of an ``add_node``/``add_edge`` loop:
+        node rows first; a repeated node row merges as :meth:`add_node`
+        does (a ``None`` label keeps the first label, a different one
+        raises :class:`GraphError`); a repeated edge id raises; implicit
+        endpoints get the label ``""``.  The result is at version 0 with
+        an empty mutation log.
+        """
         graph = cls()
-        for node, label in nodes:
-            graph.add_node(node, label)
-        for edge, source, target, label in edges:
-            graph.add_edge(edge, source, target, label)
+        for row in nodes:
+            graph._load_node(*row)
+        for row in edges:
+            graph._load_edge(*row)
         return graph
+
+    def _load_node(self, node: Const, label: Const | None = None) -> None:
+        existing = self._node_labels.get(node)
+        if existing is None:
+            super()._load_node(node)
+            resolved = DEFAULT_LABEL if label is None else label
+            self._node_labels[node] = resolved
+            self._nodes_by_label.setdefault(resolved, {})[node] = None
+        elif label is not None and existing != label:
+            raise _label_conflict(node, existing, label)
+
+    def _load_edge(self, edge: Const, source: Const, target: Const,
+                   label: Const | None = None) -> None:
+        super()._load_edge(edge, source, target)
+        resolved = DEFAULT_LABEL if label is None else label
+        self._edge_labels[edge] = resolved
+        self._index_edge(edge, source, target, resolved)

@@ -260,11 +260,44 @@ class MultiGraph:
             raise UnknownNodeError(node)
 
     # -- bulk loading ------------------------------------------------------
+    #
+    # A loaded graph's content is not its history, so bulk builds skip the
+    # mutation log.  ``_load_node``/``_load_edge`` are the unlogged
+    # counterparts of ``add_node``/``add_edge``: each layer fills the
+    # indexes it owns, with the same checks and in the same insertion
+    # order, so a bulk build equals an ``add_*`` loop index for index —
+    # only at version 0 with an empty log.  They write into a graph
+    # nothing has observed yet; mutations of a live graph go through
+    # the logged methods.
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[Const, Const, Const]]) -> "MultiGraph":
-        """Build from (edge_id, source, target) triples."""
+        """Build from (edge_id, source, target) triples in one pass.
+
+        Endpoints are created implicitly and a repeated edge id raises
+        :class:`DuplicateIdError`, as with :meth:`add_edge`; the result is
+        at version 0 with an empty mutation log.
+        """
         graph = cls()
         for edge, source, target in edges:
-            graph.add_edge(edge, source, target)
+            graph._load_edge(edge, source, target)
         return graph
+
+    def _load_node(self, node: Const) -> None:
+        if node not in self._out:
+            self._nodes.add(node)
+            self._out[node] = {}
+            self._in[node] = {}
+
+    def _load_edge(self, edge: Const, source: Const, target: Const) -> None:
+        if edge in self._edges:
+            raise DuplicateIdError("edge", edge)
+        # A node in the structural index already has every layer's entry,
+        # so only new endpoints descend through the layers.
+        if source not in self._out:
+            self._load_node(source)
+        if target not in self._out:
+            self._load_node(target)
+        self._edges[edge] = (source, target)
+        self._out[source][edge] = None
+        self._in[target][edge] = None

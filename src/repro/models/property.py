@@ -8,7 +8,7 @@ object has values for finitely many properties.  This is the model of Neo4j
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 from repro.cache.versioning import ABSENT
 from repro.models.labeled import LabeledGraph
@@ -170,16 +170,21 @@ class PropertyGraph(LabeledGraph):
                           other.edge_properties(edge))
 
     # -- bulk loading ------------------------------------------------------
+    #
+    # ``build`` is inherited: rows are (node, label[, props]) and
+    # (edge, src, dst, label[, props]).  Properties are read through
+    # ``.items()`` as ``add_node``/``add_edge`` read them, so a bulk build
+    # refuses what they refuse (a list of pairs, which ``dict`` accepts).
 
-    @classmethod
-    def build(cls,
-              nodes: Iterable[tuple],
-              edges: Iterable[tuple],
-              ) -> "PropertyGraph":
-        """Build from (node, label[, props]) and (edge, src, dst, label[, props])."""
-        graph = cls()
-        for row in nodes:
-            graph.add_node(*row)
-        for row in edges:
-            graph.add_edge(*row)
-        return graph
+    def _load_node(self, node: Const, label: Const | None = None,
+                   properties: Mapping[Const, Const] | None = None) -> None:
+        super()._load_node(node, label)
+        store = self._node_props.setdefault(node, {})
+        if properties:
+            store.update(properties.items())
+
+    def _load_edge(self, edge: Const, source: Const, target: Const,
+                   label: Const | None = None,
+                   properties: Mapping[Const, Const] | None = None) -> None:
+        super()._load_edge(edge, source, target, label)
+        self._edge_props[edge] = dict(properties.items()) if properties else {}

@@ -307,25 +307,15 @@ class MmapCsrBackend:
     """
 
     def __init__(self, path: str) -> None:
+        self._attach(path, *_map_segment_file(path))
+
+    def _attach(self, path: str, mm: mmap.mmap, header: dict,
+                data_start: int) -> None:
+        """Set up over a mapped file whose header is read and validated."""
         self._path = path
-        try:
-            with open(path, "rb") as handle:
-                self._mm = mmap.mmap(handle.fileno(), 0,
-                                     access=mmap.ACCESS_READ)
-        except (OSError, ValueError) as error:
-            raise SegmentError(
-                f"cannot open CSR segments {path}: {error}") from error
-        if self._mm[:len(MAGIC)] != MAGIC:
-            raise SegmentError(f"{path} is not a CSR segment file "
-                               f"(bad magic)")
-        header_payload, end = self._read_frame(len(MAGIC), "header")
-        try:
-            header = json.loads(header_payload)
-        except ValueError as error:
-            raise SegmentError(
-                f"{path}: header is not valid JSON: {error}") from error
-        self._header = self._validate_header(header)
-        self._data_start = end
+        self._mm = mm
+        self._header = header
+        self._data_start = data_start
         self._model = header["model"]
         self._n = header["nodes"]
         self._m = header["edges"]
@@ -404,41 +394,7 @@ class MmapCsrBackend:
     # -- framing -----------------------------------------------------------
 
     def _read_frame(self, offset: int, what: str) -> tuple[bytes, int]:
-        mm = self._mm
-        if offset + _FRAME.size > len(mm):
-            raise SegmentError(f"{self._path}: truncated {what} frame "
-                               f"header at offset {offset}")
-        length, crc = _FRAME.unpack_from(mm, offset)
-        if length > MAX_FRAME_BYTES:
-            raise SegmentError(f"{self._path}: implausible {what} frame "
-                               f"length {length}")
-        start = offset + _FRAME.size
-        end = start + length
-        if end > len(mm):
-            raise SegmentError(f"{self._path}: truncated {what} frame "
-                               f"payload at offset {offset}")
-        payload = mm[start:end]
-        if zlib.crc32(payload) != crc:
-            raise SegmentError(f"{self._path}: {what} frame checksum "
-                               f"mismatch at offset {offset}")
-        return payload, end
-
-    def _validate_header(self, header) -> dict:
-        if not isinstance(header, dict):
-            raise SegmentError(f"{self._path}: header is not a JSON object")
-        if header.get("format") != CSR_FORMAT:
-            raise SegmentError(f"{self._path}: wrong format tag "
-                               f"{header.get('format')!r}")
-        if header.get("version") != CSR_VERSION:
-            raise SegmentError(f"{self._path}: unsupported CSR version "
-                               f"{header.get('version')!r}")
-        for key, kind in (("model", str), ("graph_version", int),
-                          ("nodes", int), ("edges", int),
-                          ("node_table", dict), ("labels", list)):
-            if not isinstance(header.get(key), kind):
-                raise SegmentError(f"{self._path}: header field {key!r} "
-                                   f"missing or ill-typed")
-        return header
+        return _read_frame(self._mm, self._path, offset, what)
 
     # -- lazy decoding -----------------------------------------------------
 
@@ -881,12 +837,77 @@ def _hashable_label(value, path: str):
     return value
 
 
+def _read_frame(mm: mmap.mmap, path: str, offset: int,
+                what: str) -> tuple[bytes, int]:
+    """The CRC-checked frame at ``offset``: ``(payload, end offset)``."""
+    if offset + _FRAME.size > len(mm):
+        raise SegmentError(f"{path}: truncated {what} frame "
+                           f"header at offset {offset}")
+    length, crc = _FRAME.unpack_from(mm, offset)
+    if length > MAX_FRAME_BYTES:
+        raise SegmentError(f"{path}: implausible {what} frame "
+                           f"length {length}")
+    start = offset + _FRAME.size
+    end = start + length
+    if end > len(mm):
+        raise SegmentError(f"{path}: truncated {what} frame "
+                           f"payload at offset {offset}")
+    payload = mm[start:end]
+    if zlib.crc32(payload) != crc:
+        raise SegmentError(f"{path}: {what} frame checksum "
+                           f"mismatch at offset {offset}")
+    return payload, end
+
+
+def _map_segment_file(path: str) -> tuple[mmap.mmap, dict, int]:
+    """Map ``path`` read-only and decode its header frame.
+
+    Returns the map, the validated header and the offset the data
+    frames are relative to.
+    """
+    try:
+        with open(path, "rb") as handle:
+            mm = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError) as error:
+        raise SegmentError(
+            f"cannot open CSR segments {path}: {error}") from error
+    if mm[:len(MAGIC)] != MAGIC:
+        raise SegmentError(f"{path} is not a CSR segment file "
+                           f"(bad magic)")
+    header_payload, end = _read_frame(mm, path, len(MAGIC), "header")
+    try:
+        header = json.loads(header_payload)
+    except ValueError as error:
+        raise SegmentError(
+            f"{path}: header is not valid JSON: {error}") from error
+    if not isinstance(header, dict):
+        raise SegmentError(f"{path}: header is not a JSON object")
+    if header.get("format") != CSR_FORMAT:
+        raise SegmentError(f"{path}: wrong format tag "
+                           f"{header.get('format')!r}")
+    if header.get("version") != CSR_VERSION:
+        raise SegmentError(f"{path}: unsupported CSR version "
+                           f"{header.get('version')!r}")
+    for key, kind in (("model", str), ("graph_version", int),
+                      ("nodes", int), ("edges", int),
+                      ("node_table", dict), ("labels", list)):
+        if not isinstance(header.get(key), kind):
+            raise SegmentError(f"{path}: header field {key!r} "
+                               f"missing or ill-typed")
+    return mm, header, end
+
+
 def open_segments(path: str) -> MmapCsrBackend:
-    """Open one segment file, picking the backend class by its model tag."""
-    backend = MmapCsrBackend(path)
-    if backend.model == "property":
-        backend.close()
-        return MmapCsrPropertyBackend(path)
+    """Open one segment file as the backend class its model tag names.
+
+    The header is read once, and the class picked before the node table
+    is decoded.
+    """
+    mapped = _map_segment_file(path)
+    cls = (MmapCsrPropertyBackend if mapped[1]["model"] == "property"
+           else MmapCsrBackend)
+    backend = cls.__new__(cls)
+    backend._attach(path, *mapped)
     return backend
 
 

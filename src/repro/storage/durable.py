@@ -17,20 +17,25 @@ writes that change nothing) never reach the log, so replay stays perfectly
 aligned with the version timeline.
 
 **Recovery** (:meth:`DurableGraph.open`) loads the newest *valid* snapshot
-(checksums can demote a corrupt one to its predecessor), fast-forwards the
-fresh graph's mutation log to the snapshot version — so the recovered
+(checksums can demote a corrupt one to its predecessor) through the
+models' one-pass ``build``: its rows go straight into the indexes and
+nothing is logged, so the loaded graph is at version 0 with an empty log.
+Recovery fast-forwards that log to the snapshot version, so the recovered
 ``graph.version`` lines up with the cache/versioning horizon: every
 pre-crash cache stamp is conservatively stale, every post-recovery stamp
-validates normally — then replays the WAL tail in segment order, skipping
-entries at or below the current version (snapshot overlap, duplicate
-versions) and stopping at the first record it cannot accept — torn or
-corrupt framing, but equally a CRC-valid entry that is unreplayable
-(unknown op, version-stamp mismatch, apply failure).  Either way the
-stop point is *repaired on disk*: the owning segment is truncated at the
-rejected record (its bytes preserved in a ``.quarantined`` file) and all
-later segments are quarantined (renamed, never silently replayed),
-because entries past a hole no longer connect to the recovered state.
-Repairing before the fresh writer attaches is what keeps writes
+validates normally.  It then replays the WAL tail in segment order through
+the logged mutation methods, not a bulk build: each entry's version stamp
+is the version the logged method reached when the write was acknowledged,
+so replay must advance the log the same way for the stamps to keep lining
+up.  Replay skips entries at or below the current version (snapshot
+overlap, duplicate versions) and stops at the first record it cannot
+accept — torn or corrupt framing, but equally a CRC-valid entry that is
+unreplayable (unknown op, version-stamp mismatch, apply failure).  Either
+way the stop point is *repaired on disk*: the owning segment is truncated
+at the rejected record (its bytes preserved in a ``.quarantined`` file)
+and all later segments are quarantined (renamed, never silently
+replayed), because entries past a hole no longer connect to the recovered
+state.  Repairing before the fresh writer attaches is what keeps writes
 acknowledged *after* a recovered-with-loss open durable: the next
 recovery replays straight through to them instead of re-stopping at the
 old rejection point.

@@ -168,6 +168,25 @@ class TestGovernorFlags:
         assert "n3" in capsys.readouterr().out
 
 
+class TestAsOfOnAGraphFile:
+    """A JSON graph file loads at version 0 with no history: ``--as-of 0``
+    answers from the file's content, and every later version is in the
+    future."""
+
+    QUERY = "PATHS MATCHING ?person/contact/?infected LENGTH 1"
+
+    def test_as_of_zero_is_the_file(self, fig2_file, capsys):
+        assert main(["pathql", fig2_file, self.QUERY, "--as-of", "0"]) == 0
+        assert capsys.readouterr().out.strip() == "n1 -e3- n2"
+
+    @pytest.mark.parametrize("version", [1, 5])
+    def test_later_versions_exit_2(self, fig2_file, capsys, version):
+        code = main(["pathql", fig2_file, self.QUERY,
+                     "--as-of", str(version)])
+        assert code == 2
+        assert "in the future" in capsys.readouterr().err
+
+
 class TestParser:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):

@@ -40,9 +40,20 @@ _FPRAS_KWARGS = dict(epsilon=0.5, rng=1, pool_size=3, trials_per_state=4)
 class TestAcceptance:
     def test_exponential_count_degrades_under_100ms(self):
         """The ISSUE acceptance scenario: exact would run for tens of
-        seconds; the governed run answers in ~the deadline, tagged."""
+        seconds; the governed run answers in ~the deadline, tagged.
+
+        The 100 ms deadline runs on a virtual clock that advances 5 us per
+        checkpoint, so the outcome depends on checkpoint counts, not on
+        host speed: the deadline is 20,000 checkpoints, the exact rung
+        spends its half, and the seeded FPRAS rung needs ~3,300 of the
+        ~8,000 its share of the rest affords.  From ~1.19e-5 s per
+        checkpoint on, that share is too small and the ladder ends at
+        lower-bound.  The real-clock run of this scenario is a smoke in
+        ``benchmarks/bench_governor.py``.
+        """
         graph = complete_multigraph(3)
-        ctx = Context(Budget(deadline=0.1))
+        ctx = Context(Budget(deadline=0.1), clock=lambda: 0.0,
+                      faults=FaultInjector(skew_per_checkpoint=5e-6))
         start = time.perf_counter()
         result = count_paths_governed(graph, _adversary(14), 30, ctx,
                                       **_FPRAS_KWARGS)

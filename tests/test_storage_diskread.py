@@ -126,6 +126,26 @@ class TestRoundTrip:
         backend = open_segments(path)
         assert not hasattr(backend, "node_properties")
 
+    @pytest.mark.parametrize("graph", [figure2_labeled(), figure2_property()],
+                             ids=["labeled", "property"])
+    def test_open_decodes_header_and_node_table_once(self, tmp_path,
+                                                     monkeypatch, graph):
+        """The model tag that picks the backend class comes from the one
+        header read: a property store is not opened a second time."""
+        path = write_segments(str(tmp_path), graph, 1)
+        decoded = []
+        real_loads = json.loads
+
+        def counting_loads(payload, *args, **kwargs):
+            decoded.append(payload)
+            return real_loads(payload, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        backend = open_segments(path)
+        monkeypatch.undo()
+        assert len(decoded) == 2  # the header and the node table
+        _same_graph(backend, graph)
+
     def test_empty_graph(self, tmp_path):
         path = write_segments(str(tmp_path), LabeledGraph(), 0)
         backend = open_segments(path)
