@@ -28,7 +28,8 @@ reachability work dominates and the answer set stays small).
 Schema note: this report stamps ``version: 3`` — version 2 plus the
 per-query ``vector`` median / ``speedup_scalar_vs_vector`` columns, the
 ``vector_suite`` section and the ``numpy`` metadata field, all additive,
-so version-2 readers keep working.
+so version-2 readers keep working.  ``vector_suite`` no longer carries a
+``layout`` key: the kernel has one (bitset) layout.
 """
 
 import json
@@ -41,11 +42,7 @@ import pytest
 
 from repro.bench import Experiment, report_metadata, timed
 from repro.core.rpq import endpoint_pairs, enumerate_paths, parse_regex
-from repro.core.rpq.vectorized.engine import (
-    numpy_or_none,
-    pick_layout,
-    resolve_engine,
-)
+from repro.core.rpq.vectorized.engine import numpy_or_none, resolve_engine
 from repro.core.rpq.count import count_paths_exact
 from repro.obs import Tracer
 from repro.core.rpq.nfa import compile_regex
@@ -369,7 +366,6 @@ def run_vector_suite(reps=5, scalar_reps=3):
         "nodes": graph.node_count(),
         "edges": graph.edge_count(),
         "edge_labels": len(graph.edge_label_set()),
-        "layout": pick_layout(graph.node_count()),
         "queries": [],
     }
     failures = []
@@ -523,7 +519,7 @@ def main(argv):
                   f"[{query['strategy']}]")
     vector_suite = report["vector_suite"]
     print(f"== {vector_suite['name']} ({vector_suite['nodes']} nodes, "
-          f"{vector_suite['edges']} edges, layout={vector_suite['layout']}, "
+          f"{vector_suite['edges']} edges, "
           f"numpy={report['numpy']})")
     for query in vector_suite["queries"]:
         medians = query["median_ms"]

@@ -49,7 +49,10 @@ def footprint_edge_count(graph, nfa: NFA) -> int | None:
     label-index bucket sizes over every transition's label candidates.
     ``None`` means "unknown or unrestricted" — the graph has no label
     index, or some transition accepts edges regardless of label, so the
-    whole edge set participates and density is just ``m/n``.
+    whole edge set participates and density is just ``m/n``.  Every
+    label-indexed graph answers ``label_edge_count`` in O(1): in-memory
+    models from their bucket sizes, disk-backed ones from the segment
+    header (no decode).
     """
     if getattr(graph, "label_adjacency_index", None) is None:
         return None
@@ -60,13 +63,7 @@ def footprint_edge_count(graph, nfa: NFA) -> int | None:
             if candidates is None:
                 return None
             labels |= candidates
-    # Disk-backed graphs answer per-label counts from the segment header
-    # (no decode); counting via edges_with_label would defeat laziness.
-    counter = getattr(graph, "label_edge_count", None)
-    if counter is not None:
-        return sum(counter(label) for label in labels)
-    return sum(sum(1 for _ in graph.edges_with_label(label))
-               for label in labels)
+    return sum(graph.label_edge_count(label) for label in labels)
 
 
 def _decode_mask(mask: int, of_bit: list) -> list:

@@ -4,13 +4,14 @@ Public surface:
 
 - :func:`resolve_engine` / :data:`ENGINES` — the ``auto|scalar|vector``
   selector and its size heuristic;
-- :func:`vector_endpoint_pairs` — the bitset/CSR fixpoint kernel
-  (drop-in equivalent of the scalar product fixpoint);
+- :func:`vector_endpoint_pairs` — the bitset/CSR fixpoint kernel, the
+  one layout (drop-in equivalent of the scalar product fixpoint);
 - :func:`back_layers_vectorized` — array-swept backward layers feeding
   the exact-count subset DP;
 - :func:`graph_arrays` + :func:`adjacency_cache_info` /
   :func:`clear_adjacency_cache` — the per-(graph, version) adjacency
-  snapshot cache, invalidated through the mutation log.
+  snapshot cache, invalidated through the mutation log; each snapshot
+  memoizes its transitions' CSRs (:meth:`GraphArrays.transition_csr`).
 
 The scalar engine never imports this package's numpy-touching modules at
 query time unless an evaluation actually resolves to ``vector``, so
@@ -27,10 +28,8 @@ from repro.core.rpq.vectorized.arrays import (
 )
 from repro.core.rpq.vectorized.engine import (
     AUTO_MIN_NODES,
-    DENSE_MAX_NODES,
     ENGINES,
     numpy_or_none,
-    pick_layout,
     resolve_engine,
 )
 from repro.core.rpq.vectorized.kernel import (
@@ -40,7 +39,6 @@ from repro.core.rpq.vectorized.kernel import (
 
 __all__ = [
     "AUTO_MIN_NODES",
-    "DENSE_MAX_NODES",
     "ENGINES",
     "GraphArrays",
     "adjacency_cache_info",
@@ -48,7 +46,6 @@ __all__ = [
     "clear_adjacency_cache",
     "graph_arrays",
     "numpy_or_none",
-    "pick_layout",
     "resolve_engine",
     "vector_endpoint_pairs",
 ]

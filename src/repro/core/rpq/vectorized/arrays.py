@@ -3,7 +3,10 @@
 :class:`GraphArrays` freezes one graph into the index form every vector
 evaluation needs: a node order (id ↔ dense index remap — node ids may be
 arbitrary hashable objects), int32 endpoint arrays over the edge list, and
-per-label edge-position arrays mirroring the scalar label index.
+per-label edge-position arrays mirroring the scalar label index.  It also
+memoizes each edge transition's destination-sorted CSR
+(:meth:`GraphArrays.transition_csr`) for the tests whose answer the
+snapshot alone decides, so repeated label sets build once per snapshot.
 
 Builds are cached per *(graph identity, version)* in a small LRU keyed by
 ``id(graph)`` and guarded by a weakref (the
@@ -15,7 +18,10 @@ an edge label — exactly what the arrays encode.  Property, feature and
 node-label writes leave the entry valid (guards and non-label tests are
 evaluated live against the graph), and the entry is re-stamped to the
 current version so the next check is O(new records) again.  A truncated
-log answers conservatively: rebuild.
+log answers conservatively: rebuild.  The CSR memo lives on the entry, so
+the same check governs it: it is dropped with a rebuilt entry and kept
+across a re-stamp, which is why it holds only CSRs that depend on nothing
+a re-stamp lets through (exact label sets and the wildcard).
 """
 
 from __future__ import annotations
@@ -29,15 +35,19 @@ from repro.core.rpq.vectorized.engine import numpy_or_none
 #: Default number of graphs whose arrays are retained.
 _DEFAULT_CACHE_SIZE = 8
 
+#: Memo key of the wildcard test (no label set equals it).
+_WILDCARD = "*"
+
 
 class GraphArrays:
     """One graph flattened to numpy index arrays (read-only snapshot)."""
 
     __slots__ = ("nodes", "index", "n", "m", "edges", "src", "dst",
-                 "label_positions", "version")
+                 "label_positions", "version", "_csr_memo")
 
     def __init__(self, graph) -> None:
         np = numpy_or_none()
+        self._csr_memo: dict = {}
         builder = getattr(graph, "csr_arrays", None)
         if builder is not None:
             # Disk-backed graphs (``MmapCsrBackend``) already store the
@@ -109,6 +119,47 @@ class GraphArrays:
             mask[position] = test.matches_edge(graph, edge)
         return mask
 
+    def transition_csr(self, graph, test, inverse: bool,
+                       use_label_index: bool = True):
+        """``((src_sorted, seg_starts, unique_dst), reused)`` for one edge
+        transition: the edges passing ``test``, oriented source → target
+        (swapped when ``inverse``), sorted by destination, with each
+        destination's segment start and the distinct destinations.
+
+        The CSR is memoized on this snapshot when the snapshot alone
+        decides which edges pass: an exact label set read through the
+        label index, keyed by (label set, direction), or the wildcard.
+        Inexact tests (property, feature, negated) re-check edges against
+        the live graph, whose property and node-label writes only
+        re-stamp the snapshot, so they build afresh on every call.
+        ``reused`` says whether the memo answered.
+        """
+        key = self._memo_key(test, use_label_index)
+        if key is not None:
+            csr = self._csr_memo.get((key, inverse))
+            if csr is not None:
+                return csr, True
+        mask = self.edge_mask(graph, test, use_label_index)
+        src = self.src[mask]
+        dst = self.dst[mask]
+        if inverse:
+            src, dst = dst, src
+        csr = _sorted_csr(src, dst)
+        if key is not None:
+            self._csr_memo[(key, inverse)] = csr
+        return csr, False
+
+    def _memo_key(self, test, use_label_index: bool):
+        """The memo key of ``test``'s edge set, or ``None`` if unsafe."""
+        if isinstance(test, TrueTest):
+            return _WILDCARD
+        if not use_label_index or self.label_positions is None:
+            return None
+        labels = test.label_candidates()
+        if labels is None or not test.label_candidates_exact():
+            return None
+        return frozenset(labels)
+
     def node_mask(self, graph, guard):
         """Boolean mask over node indices: which nodes satisfy ``guard``."""
         np = numpy_or_none()
@@ -116,6 +167,18 @@ class GraphArrays:
         for i, node in enumerate(self.nodes):
             mask[i] = guard.matches_node(graph, node)
         return mask
+
+
+def _sorted_csr(src, dst):
+    """``(src_sorted, seg_starts, unique_dst)`` of the (src, dst) edges."""
+    np = numpy_or_none()
+    order = np.argsort(dst, kind="stable")
+    dst_sorted = dst[order]
+    boundaries = np.empty(dst_sorted.size, dtype=bool)
+    boundaries[:1] = True
+    np.not_equal(dst_sorted[1:], dst_sorted[:-1], out=boundaries[1:])
+    seg_starts = np.flatnonzero(boundaries)
+    return src[order], seg_starts, dst_sorted[seg_starts]
 
 
 class _ArraysCache:

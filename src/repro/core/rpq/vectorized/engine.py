@@ -6,7 +6,7 @@ Every RPQ entry point that can run vectorized takes an
 - ``"scalar"`` — the shipped per-node Python loops, always available.
   This path is byte-for-byte the pre-vectorization code and serves as the
   differential-testing oracle for the kernel.
-- ``"vector"`` — force the numpy kernel; raises
+- ``"vector"`` — force the numpy bitset kernel; raises
   :class:`~repro.errors.EngineUnavailableError` if numpy is missing.
 - ``"auto"`` — the default: pick ``vector`` when numpy is importable and
   the graph is large enough that block operations amortize their setup
@@ -29,13 +29,6 @@ ENGINES = ("auto", "scalar", "vector")
 #: ``auto`` picks the vector engine only at or above this node count:
 #: below it, array construction dominates and the scalar loops win.
 AUTO_MIN_NODES = 64
-
-#: Nodes up to this bound use the dense layout (per-transition boolean
-#: adjacency matrices contracted with one float32 matmul per step);
-#: larger graphs switch to the bitset layout (per-node uint64 start-set
-#: words OR-reduced over CSR-style transition segments) whose memory is
-#: O(edges + nodes * starts/64) instead of O(nodes^2).
-DENSE_MAX_NODES = 1024
 
 #: ``auto`` also demotes to scalar when the query's label footprint
 #: touches fewer edges than this many per node: sparse frontiers keep the
@@ -104,17 +97,3 @@ def resolve_engine(engine: str, graph=None, *,
                           "nodes (sparse frontiers favor the label index)")
     return "vector", (f"auto: {n_nodes} nodes >= {AUTO_MIN_NODES} "
                       "(block operations amortize)")
-
-
-def pick_layout(n_nodes: int, layout: str = "auto") -> str:
-    """The kernel layout for a graph of ``n_nodes`` nodes.
-
-    ``"dense"`` / ``"bitset"`` force a layout (the differential tests run
-    both); ``"auto"`` switches on :data:`DENSE_MAX_NODES`.
-    """
-    if layout not in ("auto", "dense", "bitset"):
-        raise ValueError(f"unknown layout {layout!r}; "
-                         "expected 'auto', 'dense' or 'bitset'")
-    if layout != "auto":
-        return layout
-    return "dense" if n_nodes <= DENSE_MAX_NODES else "bitset"

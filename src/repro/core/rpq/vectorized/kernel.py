@@ -6,25 +6,18 @@ all.  It tracks, per *NFA* state ``q``, the reachability relation
 
     R[q] ⊆ Starts × Nodes — "start a reaches node v in NFA state q"
 
-and runs the monotone fixpoint directly over the NFA's transitions:
+as a bitset ``uint64[n, W]`` (``W = ceil(S/64)`` words of start-set bits
+per node; memory O(n·S/64) per live NFA state) and runs the monotone
+fixpoint directly over the NFA's transitions:
 
-- an edge transition ``(test, inverse, q2)`` maps ``R[q]`` through the
-  (oriented) adjacency of the edges passing ``test`` — one matrix product
-  (dense layout) or one segmented OR-reduction (bitset layout) per
-  application, instead of one Python iteration per product edge;
-- a guarded epsilon ``(guard, q2)`` copies the rows/columns of the nodes
+- an edge transition ``(test, inverse, q2)`` gathers source rows in the
+  order of its destination-sorted CSR and folds each destination's
+  segment with ``np.bitwise_or.reduceat`` — one segmented OR-reduction
+  per application, instead of one Python iteration per product edge.
+  The CSR comes from :meth:`GraphArrays.transition_csr`, which builds it
+  once per graph snapshot for exact label sets and the wildcard;
+- a guarded epsilon ``(guard, q2)`` copies the rows of the nodes
   satisfying the guard.
-
-Two layouts back the relation (see ``engine.pick_layout``):
-
-- **dense** — ``R[q]`` is ``bool[S, n]``; an edge step casts to float32
-  and contracts with the transition's ``float32[n, n]`` adjacency matrix
-  via BLAS, then thresholds back to bool.  Counts cannot overflow float32
-  (they are bounded by ``n <= DENSE_MAX_NODES``).
-- **bitset** — ``R[q]`` is ``uint64[n, W]`` (``W = ceil(S/64)`` words of
-  start-set bits per node); an edge step gathers source rows in
-  destination-sorted CSR order and folds each destination's segment with
-  ``np.bitwise_or.reduceat``.  Memory is O(n·S/64) per live NFA state.
 
 The fixpoint is monotone (rows only gain bits), so any processing order
 terminates with the same relation; answers are read off ``R[accept]``
@@ -35,9 +28,10 @@ filtered, zero-length paths appear via the epsilon closure of the seeds,
 and parallel same-label edges collapse (reachability, not multiplicity).
 
 Governor checkpoints are block-granular: one :meth:`Context.checkpoint`
-call per build scan and per fixpoint block, charging the block's element
-count in bulk (``steps=``), so step budgets keep binding at the same
-order of magnitude as the scalar per-element charges.
+call per transition build (memoized or not) and per fixpoint block,
+charging the block's element count in bulk (``steps=``), so step budgets
+keep binding at the same order of magnitude as the scalar per-element
+charges.
 """
 
 from __future__ import annotations
@@ -45,7 +39,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.core.rpq.vectorized.arrays import graph_arrays
-from repro.core.rpq.vectorized.engine import numpy_or_none, pick_layout
+from repro.core.rpq.vectorized.engine import numpy_or_none
 from repro.errors import GraphError
 
 #: Checkpoint sites of the vector engine (fault injection targets these
@@ -67,16 +61,13 @@ def _resolve_starts(arrays, start_nodes):
 
 
 class _EdgeOp:
-    """One NFA edge transition lowered to array form."""
+    """One NFA edge transition lowered to its destination-sorted CSR."""
 
-    __slots__ = ("q2", "matrix", "src_sorted", "seg_starts", "unique_dst")
+    __slots__ = ("q2", "src_sorted", "seg_starts", "unique_dst")
 
-    def __init__(self, q2: int) -> None:
+    def __init__(self, q2: int, csr) -> None:
         self.q2 = q2
-        self.matrix = None
-        self.src_sorted = None
-        self.seg_starts = None
-        self.unique_dst = None
+        self.src_sorted, self.seg_starts, self.unique_dst = csr
 
 
 class _EpsOp:
@@ -89,58 +80,41 @@ class _EpsOp:
         self.rows = rows  # None = unguarded (every node)
 
 
-def _build_ops(graph, nfa, arrays, layout: str, use_label_index: bool,
-               ctx=None):
-    """Lower every NFA transition to its array op; returns ops-by-state."""
+def _build_ops(graph, nfa, arrays, use_label_index: bool, ctx=None):
+    """Lower every NFA transition to its array op.
+
+    Returns ``(ops_by_state, reused)``, ``reused`` counting the edge
+    transitions whose CSR came from the snapshot's memo.
+    """
     np = numpy_or_none()
-    n = arrays.n
     ops: list[list] = [[] for _ in range(nfa.n_states)]
+    reused = 0
     for q, transitions in nfa.edge_transitions.items():
         for test, inverse, q2 in transitions:
             if ctx is not None:
                 ctx.checkpoint(BUILD_SITE, steps=max(1, arrays.m))
-            mask = arrays.edge_mask(graph, test, use_label_index)
-            src = arrays.src[mask]
-            dst = arrays.dst[mask]
-            if inverse:
-                src, dst = dst, src
-            op = _EdgeOp(q2)
-            if layout == "dense":
-                matrix = np.zeros((n, n), dtype=np.float32)
-                matrix[src, dst] = 1.0
-                op.matrix = matrix
-            elif src.size:
-                order = np.argsort(dst, kind="stable")
-                dst_sorted = dst[order]
-                op.src_sorted = src[order]
-                boundaries = np.empty(dst_sorted.size, dtype=bool)
-                boundaries[0] = True
-                np.not_equal(dst_sorted[1:], dst_sorted[:-1],
-                             out=boundaries[1:])
-                op.seg_starts = np.flatnonzero(boundaries)
-                op.unique_dst = dst_sorted[op.seg_starts]
-            else:
-                op.src_sorted = src  # empty: the op is a no-op
-            ops[q].append(op)
+            csr, hit = arrays.transition_csr(graph, test, inverse,
+                                             use_label_index)
+            reused += hit
+            ops[q].append(_EdgeOp(q2, csr))
     for q, transitions in nfa.epsilon_transitions.items():
         for guard, q2 in transitions:
             rows = None
             if guard is not None:
                 if ctx is not None:
-                    ctx.checkpoint(BUILD_SITE, steps=max(1, n))
+                    ctx.checkpoint(BUILD_SITE, steps=max(1, arrays.n))
                 rows = np.flatnonzero(arrays.node_mask(graph, guard))
             ops[q].append(_EpsOp(q2, rows))
-    return ops
+    return ops, reused
 
 
 def vector_endpoint_pairs(graph, nfa, start_nodes=None, end_nodes=None, *,
                           use_label_index: bool = True, ctx=None,
-                          tracer=None, layout: str = "auto") -> set[tuple]:
+                          tracer=None) -> set[tuple]:
     """All (start, end) endpoint pairs of [[regex]] — the vector engine.
 
     Drop-in equivalent of the scalar ``_product_pairs`` (the differential
-    harness asserts equality instance by instance); ``layout`` forces the
-    dense or bitset representation, defaulting to the size heuristic.
+    harness asserts equality instance by instance).
     """
     np = numpy_or_none()
     arrays = graph_arrays(graph)
@@ -149,63 +123,38 @@ def vector_endpoint_pairs(graph, nfa, start_nodes=None, end_nodes=None, *,
     n_starts = len(starts)
     if n == 0 or n_starts == 0:
         return set()
-    layout = pick_layout(n, layout)
 
     if tracer is None:
-        ops = _build_ops(graph, nfa, arrays, layout, use_label_index, ctx)
+        ops, _ = _build_ops(graph, nfa, arrays, use_label_index, ctx)
     else:
-        with tracer.span("vector:build", ctx=ctx, layout=layout,
-                         nodes=n, edges=arrays.m, starts=n_starts) as span:
-            ops = _build_ops(graph, nfa, arrays, layout, use_label_index,
-                             ctx)
+        with tracer.span("vector:build", ctx=ctx, nodes=n, edges=arrays.m,
+                         starts=n_starts) as span:
+            ops, reused = _build_ops(graph, nfa, arrays, use_label_index,
+                                     ctx)
             span.attrs["transitions"] = sum(len(group) for group in ops)
+            span.attrs["reused"] = reused
 
     # Lazily allocated per-NFA-state relations; a state never written
     # stays None (identically empty).
+    width = (n_starts + 63) // 64
     relations: list = [None] * nfa.n_states
 
     def fresh():
-        if layout == "dense":
-            return np.zeros((n_starts, n), dtype=bool)
-        return np.zeros((n, (n_starts + 63) // 64), dtype=np.uint64)
+        return np.zeros((n, width), dtype=np.uint64)
 
+    # Seed: start s sets bit s of its own node's row, in one scatter
+    # (start nodes are distinct, so no two bits share a row).
     seed = relations[nfa.start] = fresh()
-    if layout == "dense":
-        if start_idx is None:
-            seed[np.arange(n), np.arange(n)] = True
-        else:
-            seed[np.arange(n_starts), np.asarray(start_idx)] = True
-    else:
-        one = np.uint64(1)
-        if start_idx is None:
-            for s in range(n):
-                seed[s, s >> 6] |= one << np.uint64(s & 63)
-        else:
-            for s, v in enumerate(start_idx):
-                seed[v, s >> 6] |= one << np.uint64(s & 63)
-
-    def active_nodes(relation) -> int:
-        if layout == "dense":
-            return int(relation.any(axis=0).sum())
-        return int(relation.any(axis=1).sum())
+    start_bits = np.arange(n_starts)
+    seed_rows = start_bits if start_idx is None else np.asarray(start_idx)
+    seed[seed_rows, start_bits >> 6] = (
+        np.uint64(1) << (start_bits & 63).astype(np.uint64))
 
     def apply_edge(op, source_rel) -> bool:
         """OR op's image of ``source_rel`` into R[q2]; True if it grew."""
-        target = relations[op.q2]
-        if layout == "dense":
-            image = (source_rel.astype(np.float32) @ op.matrix) > 0.0
-            if target is None:
-                if not image.any():
-                    return False
-                relations[op.q2] = image
-                return True
-            grown = image & ~target
-            if not grown.any():
-                return False
-            target |= image
-            return True
-        if op.seg_starts is None:
+        if op.unique_dst.size == 0:
             return False  # no edge passes the test
+        target = relations[op.q2]
         gathered = source_rel[op.src_sorted]
         reduced = np.bitwise_or.reduceat(gathered, op.seg_starts, axis=0)
         if target is None:
@@ -229,12 +178,6 @@ def vector_endpoint_pairs(graph, nfa, start_nodes=None, end_nodes=None, *,
                     return False
                 relations[op.q2] = source_rel.copy()
                 return True
-            if layout == "dense":
-                grown = source_rel & ~target
-                if not grown.any():
-                    return False
-                target |= source_rel
-                return True
             merged = target | source_rel
             if (merged == target).all():
                 return False
@@ -243,31 +186,18 @@ def vector_endpoint_pairs(graph, nfa, start_nodes=None, end_nodes=None, *,
         rows = op.rows
         if rows.size == 0:
             return False
-        if layout == "dense":
-            piece = source_rel[:, rows]
-        else:
-            piece = source_rel[rows]
+        piece = source_rel[rows]
         if target is None:
             if not piece.any():
                 return False
             target = relations[op.q2] = fresh()
-            if layout == "dense":
-                target[:, rows] = piece
-            else:
-                target[rows] = piece
+            target[rows] = piece
             return True
-        if layout == "dense":
-            current = target[:, rows]
-            merged = current | piece
-            if (merged == current).all():
-                return False
-            target[:, rows] = merged
-        else:
-            current = target[rows]
-            merged = current | piece
-            if (merged == current).all():
-                return False
-            target[rows] = merged
+        current = target[rows]
+        merged = current | piece
+        if (merged == current).all():
+            return False
+        target[rows] = merged
         return True
 
     def fixpoint() -> None:
@@ -279,8 +209,8 @@ def vector_endpoint_pairs(graph, nfa, start_nodes=None, end_nodes=None, *,
             queued[q] = False
             source_rel = relations[q]
             if ctx is not None:
-                ctx.checkpoint(FIXPOINT_SITE,
-                               steps=max(1, active_nodes(source_rel)))
+                active = int(source_rel.any(axis=1).sum())
+                ctx.checkpoint(FIXPOINT_SITE, steps=max(1, active))
                 ctx.note_frontier(len(pending) + 1, FIXPOINT_SITE)
             for op in ops[q]:
                 if isinstance(op, _EdgeOp):
@@ -300,22 +230,13 @@ def vector_endpoint_pairs(graph, nfa, start_nodes=None, end_nodes=None, *,
     accept_rel = relations[nfa.accept]
     if accept_rel is None:
         return set()
-    end_mask = None
+    node_any = accept_rel.any(axis=1)
     if end_nodes is not None:
         end_mask = np.zeros(n, dtype=bool)
         for node in end_nodes:
             position = arrays.index.get(node)
             if position is not None:  # missing ends silently filter
                 end_mask[position] = True
-    nodes = arrays.nodes
-    if layout == "dense":
-        selected = accept_rel if end_mask is None else (
-            accept_rel & end_mask[None, :])
-        start_rows, node_cols = np.nonzero(selected)
-        return {(starts[s], nodes[v])
-                for s, v in zip(start_rows.tolist(), node_cols.tolist())}
-    node_any = accept_rel.any(axis=1)
-    if end_mask is not None:
         node_any &= end_mask
     rows = np.flatnonzero(node_any)
     if rows.size == 0:
@@ -323,6 +244,7 @@ def vector_endpoint_pairs(graph, nfa, start_nodes=None, end_nodes=None, *,
     words = np.ascontiguousarray(accept_rel[rows]).astype("<u8")
     bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
     row_sel, bit_sel = np.nonzero(bits[:, :n_starts])
+    nodes = arrays.nodes
     return {(starts[s], nodes[rows[r]])
             for r, s in zip(row_sel.tolist(), bit_sel.tolist())}
 

@@ -157,6 +157,10 @@ class LabeledGraph(MultiGraph):
     def edges_with_label(self, label: Const) -> Iterator[Const]:
         return iter(self._edges_by_label.get(label, _EMPTY))
 
+    def label_edge_count(self, label: Const) -> int:
+        """How many edges carry ``label`` (O(1): the bucket's size)."""
+        return len(self._edges_by_label.get(label, _EMPTY))
+
     def node_label_set(self) -> set[Const]:
         return set(self._nodes_by_label)
 

@@ -30,7 +30,7 @@ from repro.core.rpq.nfa import compile_regex
 #: Schema version stamped into every exported report.
 #: v2 added the ``cache`` details section (key family, label footprint,
 #: target version) for every frontend; the ``engine`` details section
-#: (requested/chosen engine, reason, kernel layout) and the ``backend``
+#: (requested/chosen engine and reason) and the ``backend``
 #: section (where the answers live: in-memory model vs mmapped CSR
 #: segments) and the ``view`` section (materialized-view registration,
 #: maintenance strategy, AS OF version pin) are additive within v2 —
@@ -152,7 +152,7 @@ def _engine_section(engine: str, graph=None, *, n_nodes: int | None = None,
     numpy reports ``chosen: "unavailable"`` instead of raising — EXPLAIN
     never executes, so it describes the failure the run would hit.
     """
-    from repro.core.rpq.vectorized.engine import pick_layout, resolve_engine
+    from repro.core.rpq.vectorized.engine import resolve_engine
     from repro.errors import EngineUnavailableError
 
     section: dict = {"requested": engine}
@@ -169,9 +169,6 @@ def _engine_section(engine: str, graph=None, *, n_nodes: int | None = None,
         return section
     section["chosen"] = chosen
     section["reason"] = reason
-    if chosen == "vector":
-        count = n_nodes if n_nodes is not None else graph.node_count()
-        section["layout"] = pick_layout(count)
     return section
 
 
@@ -441,7 +438,6 @@ def explain_cypher(store, text: str, *, engine: str = "auto", view=None,
     if engine_section.get("chosen") == "vector" and not query.distinct:
         # Mirror the evaluator: the set-semantics expansion would collapse
         # walk multiplicities a non-DISTINCT answer must keep.
-        engine_section.pop("layout", None)
         engine_section["chosen"] = "scalar"
         engine_section["reason"] = ("vector demoted: non-DISTINCT query "
                                     "returns walk multiplicities")

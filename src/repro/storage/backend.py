@@ -8,7 +8,8 @@ an *interface* rather than to the in-memory model classes.  Everything
 that evaluates queries — the scalar product construction, the vectorized
 kernel's array builder, the SPARQL/Cypher store adapters, the query cache
 — uses only these members (plus optional, ``hasattr``-gated fast paths
-such as ``label_adjacency_index`` and ``csr_arrays``).
+such as ``label_adjacency_index``, with its O(1) companion
+``label_edge_count``, and ``csr_arrays``).
 
 Three families satisfy it today:
 

@@ -563,7 +563,7 @@ class MmapCsrBackend:
         """Edges carrying ``label``, straight from the header — no decode.
 
         The ``auto`` engine's density signal
-        (:func:`~repro.core.rpq.evaluate.footprint_edge_count`) prefers
+        (:func:`~repro.core.rpq.evaluate.footprint_edge_count`) reads
         this hook, so engine resolution on a disk-backed graph sizes
         itself from the segment header alone.
         """

@@ -7,10 +7,11 @@ Every instance is a seeded random (graph, regex) pair checked four ways:
 2. **parallel** — the same query through a :class:`WorkerPool` with 2 and
    with 4 workers (forked processes where the platform has ``fork``, the
    inline path otherwise);
-3. **vector** — the numpy kernel, forced through ``engine="vector"`` *and*
-   invoked directly in both layouts (``dense`` matmul and ``bitset``
-   OR-reduce), so the layout switch cannot hide a divergence; vector
-   counts re-sweep the backward layers through the array path;
+3. **vector** — the numpy bitset kernel, forced through
+   ``engine="vector"`` *and* invoked again directly on the compiled
+   automaton, which reads its exact-label and wildcard transitions back
+   from the snapshot's CSR memo; vector counts re-sweep the backward
+   layers through the array path;
 4. **reference** — implementations written to be *obviously* correct and
    sharing no code with the engine: endpoint pairs by relational algebra
    over the regex AST (edge relations, joins, unions, Warshall closure),
@@ -208,10 +209,8 @@ def test_parallel_equals_serial_equals_bruteforce(seed):
                 assert serial_pairs == reference_pairs(graph, regex), where
                 assert endpoint_pairs(graph, regex, engine="vector") \
                     == serial_pairs, f"{where} engine=vector"
-                nfa = compile_regex(regex)
-                for layout in ("dense", "bitset"):
-                    assert vector_endpoint_pairs(graph, nfa, layout=layout) \
-                        == serial_pairs, f"{where} layout={layout}"
+                assert vector_endpoint_pairs(graph, compile_regex(regex)) \
+                    == serial_pairs, f"{where} kernel (memoized CSRs)"
                 for pool in pools:
                     pooled = sharded_endpoint_pairs(pool, graph, regex)
                     assert pooled == serial_pairs, \

@@ -46,8 +46,9 @@ def check_label_index_invariants(graph: LabeledGraph) -> None:
             assert sorted(graph.iter_out_edges_with_label(node, label), key=str) == expected_out
             assert sorted(graph.iter_in_edges_with_label(node, label), key=str) == expected_in
     for label in labels:
-        assert set(graph.edges_with_label(label)) == {
-            e for e in graph.edges() if graph.edge_label(e) == label}
+        expected = {e for e in graph.edges() if graph.edge_label(e) == label}
+        assert set(graph.edges_with_label(label)) == expected
+        assert graph.label_edge_count(label) == len(expected)
     node_labels = set(NODE_LABELS) | graph.node_label_set() | {"no-such-label"}
     for label in node_labels:
         assert set(graph.nodes_with_label(label)) == {

@@ -5,12 +5,15 @@ cross-frontend matrix (:mod:`tests.test_cross_frontend`) certify that the
 vector kernel computes the same answers as the scalar oracle at scale.
 This file covers the machinery *around* the kernel:
 
-- ``resolve_engine`` / ``pick_layout`` contracts, including the
-  numpy-unavailable paths (simulated by poking the probe cache — the
-  image always has numpy);
+- ``resolve_engine`` contracts, including the numpy-unavailable paths
+  (simulated by poking the probe cache — the image always has numpy);
 - the per-(graph, version) adjacency-arrays cache: hits, rebuilds on
   structural/edge-label mutations, version re-stamping on writes the
   arrays do not encode, truncated-log conservatism, corpse checks;
+- the per-snapshot transition-CSR memo: reuse for a repeated exact label
+  set, rebuild with the snapshot, fresh builds for inexact tests, and
+  seeded write/query interleavings (``REPRO_FUZZ_SEEDS``) asserting
+  vector == scalar after every write;
 - degenerate inputs through the forced vector path: empty graph, lone
   self-loop, parallel same-label edges, non-contiguous/non-integer node
   ids (the id ↔ dense-index remap round-trip);
@@ -20,27 +23,29 @@ This file covers the machinery *around* the kernel:
 from __future__ import annotations
 
 import json
+import os
+import random
 
 import pytest
 
 from repro.cache.versioning import MutationLog
 from repro.cli import main
 from repro.core.rpq import count_paths_exact, endpoint_pairs, parse_regex
+from repro.core.rpq.ast import AndTest, LabelTest, OrTest, PropertyTest
 from repro.core.rpq.vectorized import (
     adjacency_cache_info,
     clear_adjacency_cache,
     graph_arrays,
 )
 from repro.core.rpq.vectorized import engine as engine_module
-from repro.core.rpq.vectorized.engine import (
-    AUTO_MIN_NODES,
-    DENSE_MAX_NODES,
-    pick_layout,
-    resolve_engine,
-)
+from repro.core.rpq.vectorized.engine import AUTO_MIN_NODES, resolve_engine
 from repro.errors import EngineUnavailableError
-from repro.models import LabeledGraph, figure2_property
+from repro.models import LabeledGraph, PropertyGraph, figure2_property
 from repro.models.io import dumps
+from repro.obs import Tracer
+
+SEEDS = tuple(int(seed) for seed in
+              os.environ.get("REPRO_FUZZ_SEEDS", "0,1,2").split(","))
 
 
 def contact_chain() -> LabeledGraph:
@@ -123,14 +128,6 @@ class TestEngineResolution:
         engine, _ = resolve_engine("vector", n_nodes=n, footprint_edges=0)
         assert engine == "vector"
 
-    def test_pick_layout_threshold(self):
-        assert pick_layout(DENSE_MAX_NODES) == "dense"
-        assert pick_layout(DENSE_MAX_NODES + 1) == "bitset"
-        assert pick_layout(5, "bitset") == "bitset"
-        assert pick_layout(10**6, "dense") == "dense"
-        with pytest.raises(ValueError, match="unknown layout"):
-            pick_layout(10, "sparse")
-
 
 class TestAdjacencyCache:
     def test_repeat_lookup_hits(self):
@@ -212,6 +209,125 @@ class TestAdjacencyCache:
         info = adjacency_cache_info()
         assert info["misses"] == before + 1
         assert info["hits"] >= 1
+
+
+def weighted_graph(seed: int) -> PropertyGraph:
+    """A seeded property graph whose a/b/c edges carry ``w`` = "0"/"1"."""
+    rng = random.Random(seed)
+    graph = PropertyGraph()
+    for i in range(12):
+        graph.add_node(f"v{i}", rng.choice("xy"), {"w": rng.choice("01")})
+    for i in range(40):
+        graph.add_edge(f"e{i}", f"v{rng.randrange(12)}",
+                       f"v{rng.randrange(12)}", rng.choice("abc"),
+                       {"w": rng.choice("01")})
+    return graph
+
+
+def vector_build_attrs(graph, text):
+    """(vector answer, attrs of its ``vector:build`` span)."""
+    tracer = Tracer()
+    pairs = endpoint_pairs(graph, parse_regex(text), engine="vector",
+                           tracer=tracer)
+    pending = list(tracer.roots)
+    while pending:
+        span = pending.pop()
+        if span.name == "vector:build":
+            return pairs, span.attrs
+        pending.extend(span.children)
+    raise AssertionError(f"{text}: no vector:build span")
+
+
+class TestTransitionMemo:
+    """The snapshot's CSR memo: exact label sets and the wildcard are
+    built once per snapshot; inexact tests are rebuilt on every query,
+    because property and node-label writes only re-stamp the snapshot."""
+
+    #: Exact, property-filtered, ``|`` and ``!`` tests, each direction,
+    #: with label sets shared between exact and inexact tests so a memo
+    #: that ignored exactness would answer one with the other's CSR.
+    QUERIES = (
+        "a/(b | c)*",
+        '(a & w="1")/(b | c)*',
+        '((a & w="1") | c)*/b',
+        "(!a)/b^-",
+        "(a & !b)^-/a",
+        "a^-/?x/(a | b)*",
+        "true/(b & w=\"0\")",
+    )
+
+    def test_repeated_label_set_reuses_csr(self):
+        graph = weighted_graph(0)
+        arrays = graph_arrays(graph)
+        a_or_b = OrTest(LabelTest("a"), LabelTest("b"))
+        b_or_a = OrTest(LabelTest("b"), LabelTest("a"))
+        first, reused = arrays.transition_csr(graph, a_or_b, False)
+        assert not reused
+        # Same label set through a different test object: same CSR.
+        again, reused = arrays.transition_csr(graph, b_or_a, False)
+        assert reused and again is first
+        # The other direction is its own entry.
+        _, reused = arrays.transition_csr(graph, a_or_b, True)
+        assert not reused
+
+    def test_inexact_test_builds_every_time(self):
+        graph = weighted_graph(1)
+        arrays = graph_arrays(graph)
+        filtered = AndTest(LabelTest("a"), PropertyTest("w", "1"))
+        arrays.transition_csr(graph, LabelTest("a"), False)
+        for _ in range(2):
+            (src, _, _), reused = arrays.transition_csr(graph, filtered,
+                                                        False)
+            assert not reused
+        heavy = [edge for edge in graph.edges_with_label("a")
+                 if graph.edge_property(edge, "w") == "1"]
+        assert src.size == len(heavy)
+
+    def test_restamp_keeps_and_edge_add_rebuilds_memo(self):
+        graph = weighted_graph(2)
+        text = "a/(b | c)"
+        _, attrs = vector_build_attrs(graph, text)
+        assert attrs["reused"] == 0 and attrs["transitions"] == 2
+        _, attrs = vector_build_attrs(graph, text)
+        assert attrs["reused"] == 2
+        graph.set_edge_property("e0", "w", "2")
+        graph.set_node_label("v0", "z")
+        _, attrs = vector_build_attrs(graph, text)
+        assert attrs["reused"] == 2
+        graph.add_edge("new", "v1", "v2", "a")
+        pairs, attrs = vector_build_attrs(graph, text)
+        assert attrs["reused"] == 0
+        assert pairs == endpoint_pairs(graph, parse_regex(text),
+                                       engine="scalar")
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_interleaved_writes_keep_vector_equal_scalar(self, seed):
+        rng = random.Random(4_000 + seed)
+        graph = weighted_graph(seed)
+        regexes = [(text, parse_regex(text)) for text in self.QUERIES]
+        added = 0
+        for step in range(30):
+            kind = rng.choice(("edge-prop", "node-prop", "node-label",
+                               "add-edge"))
+            nodes = list(graph.nodes())
+            if kind == "edge-prop":
+                graph.set_edge_property(rng.choice(list(graph.edges())),
+                                        "w", rng.choice("01"))
+            elif kind == "node-prop":
+                graph.set_node_property(rng.choice(nodes), "w",
+                                        rng.choice("01"))
+            elif kind == "node-label":
+                graph.set_node_label(rng.choice(nodes), rng.choice("xy"))
+            else:
+                added += 1
+                graph.add_edge(f"n{added}", rng.choice(nodes),
+                               rng.choice(nodes), rng.choice("abc"),
+                               {"w": rng.choice("01")})
+            for text, regex in regexes:
+                where = f"seed={seed} step={step} after {kind}: {text}"
+                assert (endpoint_pairs(graph, regex, engine="vector")
+                        == endpoint_pairs(graph, regex, engine="scalar")), \
+                    where
 
 
 class TestDegenerateInputs:
