@@ -7,61 +7,31 @@ import math
 
 
 def hits(graph, max_iterations: int = 100,
-         tolerance: float = 1e-10, *, ctx=None, pool=None) -> tuple[dict, dict]:
+         tolerance: float = 1e-10, *, ctx=None) -> tuple[dict, dict]:
     """Return (hub, authority) scores, each L2-normalized.
 
     Parallel edges count with multiplicity.  Under an execution context the
     mutual-recursion loop checkpoints once per sweep (site
     ``hits.iteration``).
-
-    With a :class:`~repro.exec.parallel.WorkerPool` bound to this graph,
-    each of the two per-iteration sweeps is sharded over contiguous ranges
-    of the sorted node list (two worker round-trips per iteration: the hub
-    sweep needs the *merged* authority vector).  Authority partials merge
-    in shard order; hub shards are disjoint by node, so their merge is a
-    dict union.  Matches the serial iteration up to float re-association
-    (DESIGN.md §4e).
     """
-    if pool is not None and graph is not pool.graph:
-        raise ValueError("this pool is bound to a different graph object")
     nodes = sorted(graph.nodes(), key=str)
     if not nodes:
         return {}, {}
-    if pool is not None:
-        from repro.exec.parallel import partition_ranges
-
-        shards = partition_ranges(len(nodes), pool.n_shards)
     hub = {node: 1.0 for node in nodes}
     authority = {node: 1.0 for node in nodes}
     for _ in range(max_iterations):
         if ctx is not None:
             ctx.checkpoint("hits.iteration")
-        if pool is None:
-            new_authority = {node: 0.0 for node in nodes}
-            for node in nodes:
-                for successor in graph.successors(node):
-                    new_authority[successor] += hub[node]
-            _normalize(new_authority)
-            new_hub = {node: 0.0 for node in nodes}
-            for node in nodes:
-                for successor in graph.successors(node):
-                    new_hub[node] += new_authority[successor]
-            _normalize(new_hub)
-        else:
-            new_authority = {node: 0.0 for node in nodes}
-            tasks = [("analytics.hits_authority_sweep",
-                      {"range": shard, "hub": hub}) for shard in shards]
-            for contributions in pool.run_tasks(tasks, ctx=ctx):
-                for node, value in contributions.items():
-                    new_authority[node] += value
-            _normalize(new_authority)
-            tasks = [("analytics.hits_hub_sweep",
-                      {"range": shard, "authority": new_authority})
-                     for shard in shards]
-            new_hub = {node: 0.0 for node in nodes}
-            for hubs in pool.run_tasks(tasks, ctx=ctx):
-                new_hub.update(hubs)
-            _normalize(new_hub)
+        new_authority = {node: 0.0 for node in nodes}
+        for node in nodes:
+            for successor in graph.successors(node):
+                new_authority[successor] += hub[node]
+        _normalize(new_authority)
+        new_hub = {node: 0.0 for node in nodes}
+        for node in nodes:
+            for successor in graph.successors(node):
+                new_hub[node] += new_authority[successor]
+        _normalize(new_hub)
         delta = sum(abs(new_hub[n] - hub[n]) for n in nodes)
         delta += sum(abs(new_authority[n] - authority[n]) for n in nodes)
         hub, authority = new_hub, new_authority

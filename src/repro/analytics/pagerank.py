@@ -4,25 +4,16 @@ from __future__ import annotations
 
 
 def pagerank(graph, damping: float = 0.85, max_iterations: int = 100,
-             tolerance: float = 1e-10, *, ctx=None, pool=None) -> dict:
+             tolerance: float = 1e-10, *, ctx=None) -> dict:
     """PageRank scores summing to 1.0.
 
     Parallel edges contribute multiplicity to the transition probabilities,
     matching the multigraph models of the paper.  Dangling nodes distribute
     their mass uniformly.  Under an execution context the power iteration
     checkpoints once per sweep (site ``pagerank.iteration``).
-
-    With a :class:`~repro.exec.parallel.WorkerPool` bound to this graph,
-    each power-iteration sweep is sharded over contiguous ranges of the
-    sorted node list and the partial incoming-mass vectors are merged in
-    shard order; the result matches the serial iteration up to float
-    re-association (DESIGN.md §4e), so compare with a tolerance, not
-    ``==``.
     """
     if not 0 <= damping < 1:
         raise ValueError("damping must be in [0, 1)")
-    if pool is not None and graph is not pool.graph:
-        raise ValueError("this pool is bound to a different graph object")
     nodes = sorted(graph.nodes(), key=str)
     n = len(nodes)
     if n == 0:
@@ -32,27 +23,15 @@ def pagerank(graph, damping: float = 0.85, max_iterations: int = 100,
     for _ in range(max_iterations):
         if ctx is not None:
             ctx.checkpoint("pagerank.iteration")
-        if pool is None:
-            dangling_mass = sum(rank[node] for node in nodes
-                                if out_degree[node] == 0)
-            incoming = {node: 0.0 for node in nodes}
-            for node in nodes:
-                if out_degree[node] == 0:
-                    continue
-                share = rank[node] / out_degree[node]
-                for successor in graph.successors(node):
-                    incoming[successor] += share
-        else:
-            from repro.exec.parallel import partition_ranges
-
-            tasks = [("analytics.pagerank_sweep", {"range": shard, "rank": rank})
-                     for shard in partition_ranges(n, pool.n_shards)]
-            incoming = {node: 0.0 for node in nodes}
-            dangling_mass = 0.0
-            for shard_incoming, shard_dangling in pool.run_tasks(tasks, ctx=ctx):
-                for node, mass in shard_incoming.items():
-                    incoming[node] += mass
-                dangling_mass += shard_dangling
+        dangling_mass = sum(rank[node] for node in nodes
+                            if out_degree[node] == 0)
+        incoming = {node: 0.0 for node in nodes}
+        for node in nodes:
+            if out_degree[node] == 0:
+                continue
+            share = rank[node] / out_degree[node]
+            for successor in graph.successors(node):
+                incoming[successor] += share
         updated = {}
         base = (1.0 - damping) / n + damping * dangling_mass / n
         for node in nodes:

@@ -218,19 +218,7 @@ def _validate_workers(args: argparse.Namespace) -> int | None:
     return None
 
 
-def _make_pool(graph, args: argparse.Namespace):
-    """A WorkerPool when --workers asks for one, else None (serial path)."""
-    if args.workers is None or args.workers == 1:
-        return None
-    from repro.exec import WorkerPool
-
-    return WorkerPool(graph, args.workers)
-
-
 def _cmd_pathql(args: argparse.Namespace) -> int:
-    invalid = _validate_workers(args)
-    if invalid is not None:
-        return invalid
     graph = _apply_as_of(_resolve_graph(args), args)
     if graph is None:
         return 2
@@ -241,17 +229,13 @@ def _cmd_pathql(args: argparse.Namespace) -> int:
                            engine=args.engine,
                            as_of=getattr(args, "as_of", None)), args)
     tracer = _make_tracer(args)
-    pool = _make_pool(graph, args)
     cache = _make_cache(args)
     try:
         result = run_pathql(graph, args.query, ctx=ctx, tracer=tracer,
-                            pool=pool, cache=cache, engine=args.engine)
+                            cache=cache, engine=args.engine)
     except BudgetExceeded as exceeded:
         _emit_obs(tracer, args, cache)
         return _budget_exceeded(exceeded, ctx, args)
-    finally:
-        if pool is not None:
-            pool.close()
     if result.is_degraded:
         steps = "; ".join(str(event) for event in result.degradations)
         print(f"# DEGRADED ({result.quality}): {steps}", file=sys.stderr)
@@ -571,12 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "missing), 'auto' (default) picks by graph size; the "
                  "chosen engine shows up in --stats and --trace output")
 
-    def add_workers_flag(subparser: argparse.ArgumentParser) -> None:
-        subparser.add_argument(
-            "--workers", type=int, default=None, metavar="N",
-            help="evaluate across N worker processes (fork-shared graph); "
-                 "1 or unset runs serially")
-
     def add_durable_flag(subparser: argparse.ArgumentParser) -> None:
         group = subparser.add_mutually_exclusive_group()
         group.add_argument(
@@ -618,7 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_governor_flags(pathql)
     add_obs_flags(pathql)
     add_engine_flag(pathql)
-    add_workers_flag(pathql)
     add_cache_flags(pathql)
     add_as_of_flag(pathql)
     add_durable_flag(pathql)
@@ -657,7 +634,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the full batch result as one JSON document")
     add_governor_flags(batch)
     add_engine_flag(batch)
-    add_workers_flag(batch)
+    batch.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help="evaluate across N worker processes (fork-shared graph); "
+             "1 or unset runs serially")
     batch.add_argument(
         "--trace", action="store_true",
         help="print the merged span tree (all workers) to stderr")

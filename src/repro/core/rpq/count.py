@@ -90,17 +90,12 @@ def count_paths_exact(graph, regex: Regex, k: int,
                       start_nodes: Iterable | None = None,
                       end_nodes: Iterable | None = None,
                       *, use_label_index: bool = True, engine: str = "auto",
-                      ctx=None, pool=None, cache=None) -> int:
+                      ctx=None, cache=None) -> int:
     """Count(G, r, k): the number of paths p in [[r]] with |p| = k.
 
     Optionally restrict the start and end nodes of the counted paths (needed
     by the regex-constrained centrality of Section 4.2).
     ``use_label_index=False`` forces the full-scan product construction.
-
-    With a :class:`~repro.exec.parallel.WorkerPool` bound to this graph
-    (``pool=``), the start-node set is sharded across workers and the shard
-    counts are summed — exact, because distinct paths have distinct start
-    nodes within exactly one shard (pinned by the differential harness).
 
     With a :class:`~repro.cache.QueryCache` (``cache=``), the count is
     memoized under (graph, regex text, k, endpoint restrictions) with the
@@ -126,15 +121,9 @@ def count_paths_exact(graph, regex: Regex, k: int,
             return hit
         count = count_paths_exact(graph, regex, k, start_nodes, end_nodes,
                                   use_label_index=use_label_index,
-                                  engine=engine, ctx=ctx, pool=pool)
+                                  engine=engine, ctx=ctx)
         cache.store(graph, key, label_footprint(regex), count)
         return count
-    if pool is not None:
-        from repro.exec.parallel import sharded_count_paths
-
-        return sharded_count_paths(pool, graph, regex, k, start_nodes,
-                                   end_nodes, use_label_index=use_label_index,
-                                   engine=engine, ctx=ctx)
     from repro.core.rpq.evaluate import footprint_edge_count
     from repro.core.rpq.vectorized.engine import resolve_engine
 

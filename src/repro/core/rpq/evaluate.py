@@ -194,8 +194,7 @@ def endpoint_pairs(graph, regex: Regex,
                    start_nodes: Iterable | None = None,
                    end_nodes: Iterable | None = None,
                    *, use_label_index: bool = True, engine: str = "auto",
-                   ctx=None, tracer=None, pool=None,
-                   cache=None) -> set[tuple]:
+                   ctx=None, tracer=None, cache=None) -> set[tuple]:
     """All (start(p), end(p)) for p in [[regex]] — finite, computed exactly.
 
     Chain-shaped regexes (pure sequences of edge steps, unrestricted
@@ -213,13 +212,6 @@ def endpoint_pairs(graph, regex: Regex,
     spans (``compile`` with cache hit/miss deltas, then ``evaluate`` tagged
     with the chosen strategy, containing ``product`` for the non-chain
     path); ``tracer=None`` adds no spans and no allocations.
-
-    With a :class:`~repro.exec.parallel.WorkerPool` bound to this graph
-    (``pool=``), the start-node set is sharded across the pool's workers and
-    the per-shard answers are unioned — exactly equivalent (every conforming
-    path lives in the shard of its start node; the differential harness
-    certifies this), with budgets subdivided and worker stats/traces merged
-    by the pool.
 
     With a :class:`~repro.cache.QueryCache` (``cache=``), the answer is
     memoized under the canonical key (graph, regex text, endpoint
@@ -248,16 +240,9 @@ def endpoint_pairs(graph, regex: Regex,
             return set(hit)
         pairs = endpoint_pairs(graph, regex, start_nodes, end_nodes,
                                use_label_index=use_label_index,
-                               engine=engine, ctx=ctx,
-                               tracer=tracer, pool=pool)
+                               engine=engine, ctx=ctx, tracer=tracer)
         cache.store(graph, key, label_footprint(regex), frozenset(pairs))
         return pairs
-    if pool is not None:
-        from repro.exec.parallel import sharded_endpoint_pairs
-
-        return sharded_endpoint_pairs(pool, graph, regex, start_nodes,
-                                      end_nodes, use_label_index=use_label_index,
-                                      engine=engine, ctx=ctx, tracer=tracer)
     if tracer is None:
         nfa = compile_regex(regex)
     else:

@@ -446,10 +446,9 @@ def build_product(graph, nfa: NFA,
                 accept_states.add(index)
             init_table[("init", node)] = frozenset((index,))
     else:
-        # Explicit start sets are deduplicated and sorted: callers (and the
-        # parallel shard helpers) may pass them in any order, and the
-        # product's state numbering — hence traces and frontier stats —
-        # must not depend on that order.
+        # Explicit start sets are deduplicated and sorted: callers may pass
+        # them in any order, and the product's state numbering — hence
+        # traces and frontier stats — must not depend on that order.
         starts = (sorted(set(start_nodes), key=str)
                   if start_nodes is not None else list(graph.nodes()))
         for node in starts:

@@ -96,11 +96,8 @@ def clustered_labeled_graph(n_clusters: int, cluster_size: int,
     """Disjoint union of ``n_clusters`` dense random multigraphs.
 
     Every edge stays inside its cluster, so any path-shaped computation
-    seeded at a node explores only that node's cluster.  This is the
-    substrate for the parallel scaling benchmarks: sharding work by start
-    node then partitions the graph's clusters across workers with no
-    shared exploration, isolating the harness overhead from the
-    (workload-dependent) cost of overlapping neighborhoods.
+    seeded at a node explores only that node's cluster — a structurally
+    distinct family for the differential harness and the benchmarks.
     """
     if n_clusters < 1 or cluster_size < 1:
         raise ValueError("need at least one cluster of at least one node")

@@ -40,8 +40,6 @@ from repro.exec.parallel import (
     default_worker_count,
     fork_available,
     register_task,
-    sharded_count_paths,
-    sharded_endpoint_pairs,
 )
 from repro.exec.batch import (
     BatchQuery,
@@ -70,8 +68,6 @@ __all__ = [
     "default_worker_count",
     "fork_available",
     "register_task",
-    "sharded_endpoint_pairs",
-    "sharded_count_paths",
     "BatchQuery",
     "BatchResult",
     "BatchSession",

@@ -16,8 +16,8 @@ it, one query per task descriptor.  The session guarantees:
   caller's context cancelled or globally exhausted, a worker process dying)
   escapes as an exception;
 - **governed concurrency** — the caller's :class:`~repro.exec.Context` is
-  subdivided across queries exactly like the sharded RPQ helpers
-  (deadline global, steps split per query with the
+  subdivided across queries by :meth:`WorkerPool.subdivide` (deadline
+  global, steps split per query with the
   :meth:`~repro.exec.Context.fraction` floors), and each worker's stats
   merge back at join;
 - **store reuse** — each worker lazily builds the SPARQL triple store /

@@ -65,7 +65,7 @@ def count_paths_governed(graph, regex, k: int, ctx: Context, *,
                          pool_size: int | None = None,
                          trials_per_state: int | None = None,
                          engine: str = "auto",
-                         tracer=None, pool=None, cache=None) -> GovernedResult:
+                         tracer=None, cache=None) -> GovernedResult:
     """Count(G, r, k) under a budget, degrading instead of hanging.
 
     Rung 1 (``exact``) gets ``exact_share`` of the remaining time/steps;
@@ -80,12 +80,8 @@ def count_paths_governed(graph, regex, k: int, ctx: Context, *,
     ended (``answered`` / the exhausted resource); ``tracer=None`` adds
     nothing.
 
-    With a :class:`~repro.exec.parallel.WorkerPool` (``pool=``) only the
-    exact rung shards across workers (it dominates the ladder's cost and
-    shards exactly); the FPRAS and enumeration fallbacks stay serial —
-    their sampling/emission order is part of their seeded determinism.
-    ``engine`` is likewise forwarded only to the exact rung — the fallback
-    rungs are scalar by construction (seeded sampling / ordered emission).
+    ``engine`` is forwarded only to the exact rung — the fallback rungs
+    are scalar by construction (seeded sampling / ordered emission).
 
     With a :class:`~repro.cache.QueryCache` (``cache=``), a previously
     computed *exact* count — stored by this function or by a plain
@@ -112,7 +108,7 @@ def count_paths_governed(graph, regex, k: int, ctx: Context, *,
     try:
         value = count_paths_exact(graph, regex, k, start_nodes, end_nodes,
                                   engine=engine,
-                                  ctx=ctx.fraction(exact_share), pool=pool)
+                                  ctx=ctx.fraction(exact_share))
         if span is not None:
             span.attrs["outcome"] = "answered"
             tracer.finish(span)

@@ -1,10 +1,7 @@
-"""Parallel execution tier: fork-shared worker pools over the governed core.
+"""Parallel execution tier: a fork-shared worker pool behind batch sessions.
 
-The ROADMAP's north star wants the paper's path-extraction machinery served
-"as fast as the hardware allows"; this module adds the missing tier between
-one governed query and that goal, in the multi-worker evaluation style of
-distributed RPQ engines (MillenniumDB's per-query thread budgets, the
-partitioned automaton evaluation surveyed by Angles et al.):
+:class:`~repro.exec.batch.BatchSession` (and CLI ``batch --workers``) fans
+whole queries out over the pool below, one query per task:
 
 - a :class:`WorkerPool` owns N ``fork``-started processes that inherit one
   **read-only** graph through copy-on-write fork memory (no pickling of the
@@ -12,17 +9,14 @@ partitioned automaton evaluation surveyed by Angles et al.):
   :class:`~repro.exec.FaultInjector`;
 - work travels as pickle-cheap *task descriptors* ``(kind, payload)``
   resolved against a registry of task functions (:func:`register_task`), so
-  a queue message is a regex AST and a tuple of start nodes — never code,
-  never graph data;
-- :func:`sharded_endpoint_pairs` / :func:`sharded_count_paths` shard the
-  start-node set across tasks; both are *exactly* equivalent to their
-  serial counterparts because paths partition by their start node (the
-  differential harness in ``tests/test_differential.py`` pins this on
-  thousands of seeded random instances);
-- the analytics sweeps (``analytics.pagerank_sweep`` etc.) shard one power-
-  iteration step by source-node range; the parent merges partial sums in
-  shard order, so results match the serial implementation up to float
-  re-association (documented merge semantics, DESIGN.md §4e).
+  a queue message is a query text and its options — never code, never
+  graph data.
+
+One query always runs on one worker.  Splitting one RPQ, Count or
+PageRank/HITS sweep by start node across the workers measured anywhere
+from 0.3x to 1.6x of serial, depending on query shape and run, and the
+sweeps always ran slower (EXPERIMENTS.md R3), so the pool parallelizes
+across queries only.
 
 **Budgets bind globally.**  :meth:`WorkerPool.run_tasks` derives one
 sub-budget per task from the caller's :class:`~repro.exec.Context` — the
@@ -43,16 +37,16 @@ the parent waits for results and sets the event; worker contexts poll it
 (throttled to every 64th checkpoint — cancellation latency is bounded, the
 hot loop stays hot) and raise :class:`~repro.errors.Cancelled` exactly like
 a same-process cancel.  A worker that fails also sets the event, so sibling
-shards abort instead of running their budget out.
+tasks abort instead of running their budget out.
 
 **Traces merge at join.**  With a tracer, the pool records a ``parallel``
 span whose ``worker:<i>`` children hold each worker's spans rebuilt from
 their JSON form, in deterministic task order — two runs of the same
-parallel query produce byte-identical trace JSON modulo the timing fields.
+batch produce byte-identical trace JSON modulo the timing fields.
 
 ``workers <= 1`` (or a platform without ``fork``) degrades to an *inline*
-pool: the same task functions, sharding, budget floors and trace shape,
-executed in-process — the serial member of every differential test pair.
+pool: the same task functions, budget floors and trace shape, executed
+in-process.
 """
 
 from __future__ import annotations
@@ -61,7 +55,7 @@ import multiprocessing as mp
 import os
 import pickle
 import queue as queue_module
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from repro.errors import BudgetExceeded, Cancelled, WorkerFailed
 from repro.exec.budget import (
@@ -88,37 +82,6 @@ def default_worker_count() -> int:
 def fork_available() -> bool:
     """Whether real worker processes can be used on this platform."""
     return "fork" in mp.get_all_start_methods()
-
-
-def partition_chunks(items: Sequence, n: int) -> list[tuple]:
-    """Split ``items`` into up to ``n`` contiguous shards.
-
-    Deterministic for a deterministic input order, and *contiguous* rather
-    than strided: nearby start nodes tend to explore overlapping
-    neighborhoods, so keeping them in one shard keeps that exploration in
-    one worker instead of repeating it in every worker (measured ~2.4x
-    total-work blowup with strided shards on cluster-structured graphs,
-    ~1.0x with contiguous ones).  Empty shards are dropped.
-    """
-    if n < 1:
-        raise ValueError("need at least one shard")
-    size = max(1, -(-len(items) // n))
-    return [tuple(items[lo:lo + size])
-            for lo in range(0, len(items), size)]
-
-
-def partition_ranges(length: int, n: int) -> list[tuple[int, int]]:
-    """Split ``range(length)`` into up to ``n`` contiguous (lo, hi) chunks.
-
-    Contiguous — not strided — so order-sensitive float merges (the
-    analytics sweeps) add partial sums in the same left-to-right order as
-    the serial loop, shard by shard.
-    """
-    if n < 1:
-        raise ValueError("need at least one shard")
-    chunk = max(1, -(-length // n))
-    return [(lo, min(lo + chunk, length))
-            for lo in range(0, length, chunk)]
 
 
 # ---------------------------------------------------------------------------
@@ -309,21 +272,20 @@ class WorkerPool:
     Parameters
     ----------
     graph:
-        The graph every task evaluates against.  Workers inherit it through
-        fork copy-on-write memory; the sharded helpers assert the caller
-        passes *this* object, so a pool can never silently answer for a
-        different graph.  The graph must not be mutated while the pool is
-        open (workers would not see the mutation — document-level contract,
-        matching the read-only evaluation tier).
+        The graph every task evaluates against, as ``state["graph"]``.
+        Workers inherit it through fork copy-on-write memory.  The graph
+        must not be mutated while the pool is open (workers would not see
+        the mutation — document-level contract, matching the read-only
+        evaluation tier).
     workers:
-        Shard/process count; ``None`` means :func:`default_worker_count`.
+        Process count; ``None`` means :func:`default_worker_count`.
         ``workers <= 1`` — or a platform without ``fork`` — runs every task
         inline in the parent process through the identical code path.
     fault_plans:
         Optional ``{worker_index: FaultInjector}`` targeting individual
-        workers: shard tasks executed by worker *i* run under plan *i*
-        (inline pools apply plan 0), which is how the fault campaigns
-        exercise partial-failure joins deterministically.
+        workers: tasks executed by worker *i* run under plan *i* (inline
+        pools apply plan 0), which is how the fault campaigns exercise
+        partial-failure joins deterministically.
     """
 
     def __init__(self, graph, workers: int | None = None, *,
@@ -362,11 +324,6 @@ class WorkerPool:
                 daemon=True)
             process.start()
             self._procs.append(process)
-
-    @property
-    def n_shards(self) -> int:
-        """How many shards work should be split into (= ``workers``)."""
-        return self.workers
 
     @property
     def is_inline(self) -> bool:
@@ -416,7 +373,7 @@ class WorkerPool:
         ``max_results`` pass through unchanged.  Slices are floored like
         :meth:`Context.fraction` — at least 1 step / :data:`MIN_FRACTION_SECONDS`
         — so the group may overshoot by at most one floor per task, the
-        documented price of letting every shard run.
+        documented price of letting every task run.
         """
         if ctx is None:
             return None
@@ -440,7 +397,7 @@ class WorkerPool:
         first worker-side :class:`BudgetExceeded`/:class:`Cancelled` (by
         task order) re-raises here after stats/trace merging; any other
         worker error raises :class:`~repro.errors.WorkerFailed`.  On any
-        failure the remaining shards are cancelled via the shared event.
+        failure the remaining tasks are cancelled via the shared event.
         """
         if not tasks:
             return []
@@ -481,8 +438,8 @@ class WorkerPool:
                     want_stats, want_trace)
             messages.append(pickle.loads(
                 _execute_task(state, item, None, faults)))
-            # Mirror cross-worker cancellation: a failed shard stops the
-            # remaining shards (they report as cancelled at submit).
+            # Mirror cross-worker cancellation: a failed task stops the
+            # remaining tasks (they report as cancelled at submit).
             status = messages[-1][2]
             if status != "ok":
                 for skipped_id in range(task_id + 1, len(tasks)):
@@ -514,7 +471,7 @@ class WorkerPool:
             messages.append(message)
             pending -= 1
             if message[2] != "ok" and not failed:
-                # Abort sibling shards promptly; their cancellations are
+                # Abort sibling tasks promptly; their cancellations are
                 # subordinated to the primary error during the join.
                 failed = True
                 self._event.set()
@@ -549,7 +506,7 @@ class WorkerPool:
             elif (isinstance(primary, Cancelled)
                   and isinstance(decoded, BudgetExceeded)):
                 # A real budget error outranks the cancellations it caused
-                # in sibling shards, wherever it landed in task order.
+                # in sibling tasks, wherever it landed in task order.
                 primary = decoded
         if primary is not None:
             raise primary
@@ -580,158 +537,3 @@ class WorkerPool:
                     child = rebuild(encoded)
                     child.attrs.setdefault("task", task_id)
                     parent.children.append(child)
-
-
-# ---------------------------------------------------------------------------
-# Sharded RPQ entry points (the machinery behind ``pool=`` keywords)
-# ---------------------------------------------------------------------------
-
-
-def _normalized_starts(pool: WorkerPool, graph, start_nodes) -> list:
-    if graph is not pool.graph:
-        raise ValueError("this pool is bound to a different graph object; "
-                         "create a WorkerPool for the graph being queried")
-    nodes = graph.nodes() if start_nodes is None else start_nodes
-    # Sort + dedupe: shard contents become a pure function of the query, so
-    # worker results (and merged traces) are deterministic, and duplicated
-    # user-supplied start nodes cannot double-count across shards.
-    return sorted(set(nodes), key=str)
-
-
-@register_task("rpq.endpoint_pairs")
-def _task_endpoint_pairs(state, payload, ctx, tracer):
-    from repro.core.rpq.evaluate import endpoint_pairs
-
-    return endpoint_pairs(state["graph"], payload["regex"],
-                          start_nodes=payload["starts"],
-                          end_nodes=payload["ends"],
-                          use_label_index=payload["use_label_index"],
-                          engine=payload.get("engine", "auto"),
-                          ctx=ctx, tracer=tracer)
-
-
-def sharded_endpoint_pairs(pool: WorkerPool, graph, regex,
-                           start_nodes=None, end_nodes=None, *,
-                           use_label_index: bool = True, engine: str = "auto",
-                           ctx=None, tracer=None) -> set[tuple]:
-    """:func:`~repro.core.rpq.evaluate.endpoint_pairs` sharded by start node.
-
-    Exact: every conforming path belongs to exactly one shard (the one
-    holding its start node), so the union of the per-shard answers is the
-    serial answer.
-    """
-    starts = _normalized_starts(pool, graph, start_nodes)
-    ends = None if end_nodes is None else tuple(sorted(set(end_nodes), key=str))
-    tasks = [("rpq.endpoint_pairs",
-              {"regex": regex, "starts": shard, "ends": ends,
-               "use_label_index": use_label_index, "engine": engine})
-             for shard in partition_chunks(starts, pool.n_shards)]
-    pairs: set[tuple] = set()
-    for shard_pairs in pool.run_tasks(tasks, ctx=ctx, tracer=tracer):
-        pairs |= shard_pairs
-    return pairs
-
-
-@register_task("rpq.count_paths")
-def _task_count_paths(state, payload, ctx, tracer):
-    from repro.core.rpq.count import count_paths_exact
-
-    return count_paths_exact(state["graph"], payload["regex"], payload["k"],
-                             start_nodes=payload["starts"],
-                             end_nodes=payload["ends"],
-                             use_label_index=payload["use_label_index"],
-                             engine=payload.get("engine", "auto"),
-                             ctx=ctx)
-
-
-def sharded_count_paths(pool: WorkerPool, graph, regex, k: int,
-                        start_nodes=None, end_nodes=None, *,
-                        use_label_index: bool = True, engine: str = "auto",
-                        ctx=None, tracer=None) -> int:
-    """Count(G, r, k) sharded by start node; the shard counts sum exactly.
-
-    Distinct paths have distinct (start node, word) encodings and the start
-    sets are disjoint, so no path is counted twice or dropped.
-    """
-    starts = _normalized_starts(pool, graph, start_nodes)
-    ends = None if end_nodes is None else tuple(sorted(set(end_nodes), key=str))
-    tasks = [("rpq.count_paths",
-              {"regex": regex, "k": k, "starts": shard, "ends": ends,
-               "use_label_index": use_label_index, "engine": engine})
-             for shard in partition_chunks(starts, pool.n_shards)]
-    return sum(pool.run_tasks(tasks, ctx=ctx, tracer=tracer))
-
-
-# ---------------------------------------------------------------------------
-# Analytics sweep tasks (used by repro.analytics.pagerank / hits)
-# ---------------------------------------------------------------------------
-
-
-def _sorted_nodes(state: dict) -> list:
-    nodes = state["caches"].get("sorted_nodes")
-    if nodes is None:
-        nodes = state["caches"]["sorted_nodes"] = sorted(
-            state["graph"].nodes(), key=str)
-    return nodes
-
-
-@register_task("analytics.pagerank_sweep")
-def _task_pagerank_sweep(state, payload, ctx, tracer):
-    """One shard of a PageRank power-iteration sweep.
-
-    Returns ``(incoming, dangling)`` where ``incoming`` maps successor ->
-    mass received from this shard's sources (summed in sorted-source order)
-    and ``dangling`` is the shard's dangling mass.
-    """
-    graph = state["graph"]
-    nodes = _sorted_nodes(state)
-    lo, hi = payload["range"]
-    rank = payload["rank"]
-    incoming: dict = {}
-    dangling = 0.0
-    for node in nodes[lo:hi]:
-        if ctx is not None:
-            ctx.checkpoint("pagerank.shard")
-        out_degree = graph.out_degree(node)
-        if out_degree == 0:
-            dangling += rank[node]
-            continue
-        share = rank[node] / out_degree
-        for successor in graph.successors(node):
-            incoming[successor] = incoming.get(successor, 0.0) + share
-    return incoming, dangling
-
-
-@register_task("analytics.hits_authority_sweep")
-def _task_hits_authority_sweep(state, payload, ctx, tracer):
-    """Authority contributions of this shard's source nodes (pre-merge)."""
-    graph = state["graph"]
-    nodes = _sorted_nodes(state)
-    lo, hi = payload["range"]
-    hub = payload["hub"]
-    contributions: dict = {}
-    for node in nodes[lo:hi]:
-        if ctx is not None:
-            ctx.checkpoint("hits.shard")
-        for successor in graph.successors(node):
-            contributions[successor] = (contributions.get(successor, 0.0)
-                                        + hub[node])
-    return contributions
-
-
-@register_task("analytics.hits_hub_sweep")
-def _task_hits_hub_sweep(state, payload, ctx, tracer):
-    """Hub scores of this shard's nodes from the (already merged) authority
-    vector; shards are disjoint by node, so the parent merge is a dict
-    union."""
-    graph = state["graph"]
-    nodes = _sorted_nodes(state)
-    lo, hi = payload["range"]
-    authority = payload["authority"]
-    hubs: dict = {}
-    for node in nodes[lo:hi]:
-        if ctx is not None:
-            ctx.checkpoint("hits.shard")
-        hubs[node] = sum(authority[successor]
-                         for successor in graph.successors(node))
-    return hubs

@@ -356,7 +356,7 @@ class ViewRegistry:
         return view.result(**call_kwargs)
 
     def serve_pathql(self, graph, text: str, *, ctx=None, tracer=None,
-                     pool=None, engine: str = "auto"):
+                     engine: str = "auto"):
         from repro.cache import pathql_footprint
         from repro.query.pathql import parse_pathql, _canonical_key
 
@@ -369,7 +369,7 @@ class ViewRegistry:
                 name, text, key, pathql_footprint(query)))
 
         return self._serve(graph, key, build, ctx=ctx, tracer=tracer,
-                           pool=pool, engine=engine)
+                           engine=engine)
 
     def serve_sparql(self, store, text: str, *, ctx=None, tracer=None,
                      engine: str = "auto"):

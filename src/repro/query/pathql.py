@@ -148,7 +148,7 @@ def parse_pathql(text: str) -> PathQuery:
 
 
 def run_pathql(graph, text: str, *, ctx=None, tracer=None,
-               pool=None, cache=None, view=None,
+               cache=None, view=None,
                engine: str = "auto") -> PathQueryResult:
     """Parse and execute a PathQL statement against any graph model.
 
@@ -165,11 +165,6 @@ def run_pathql(graph, text: str, *, ctx=None, tracer=None,
     — the latter nesting the governor's ``degrade:<rung>`` spans for
     governed ``COUNT`` queries; ``tracer=None`` takes the exact pre-tracing
     code path.
-
-    With a :class:`~repro.exec.parallel.WorkerPool` bound to this graph
-    (``pool=``), ``COUNT`` queries shard their exact count across the
-    pool's workers; enumeration and sampling stay serial — their emission
-    order and seeded randomness are part of the answer.
 
     With a :class:`~repro.cache.QueryCache` (``cache=``), full-fidelity
     results (``quality == "exact"``, which includes seeded ``COUNT APPROX``
@@ -194,17 +189,16 @@ def run_pathql(graph, text: str, *, ctx=None, tracer=None,
     """
     if view is not None:
         return view.serve_pathql(graph, text, ctx=ctx, tracer=tracer,
-                                 pool=pool, engine=engine)
+                                 engine=engine)
     if tracer is None:
-        return _run_pathql(graph, text, ctx, pool=pool, cache=cache,
-                           engine=engine)
+        return _run_pathql(graph, text, ctx, cache=cache, engine=engine)
     with tracer.span("parse", frontend="pathql"):
         query = parse_pathql(text)
     with tracer.span("compile", cache=True):
         compile_regex(query.regex)
     with tracer.span("evaluate", ctx=ctx, mode=query.mode) as span:
         result = _run_pathql(graph, text, ctx, query=query, tracer=tracer,
-                             pool=pool, cache=cache, engine=engine)
+                             cache=cache, engine=engine)
         span.attrs["quality"] = result.quality
         if result.count is not None:
             span.attrs["count"] = result.count
@@ -221,7 +215,7 @@ def _canonical_key(query: PathQuery) -> tuple:
 
 
 def _run_pathql(graph, text: str, ctx=None, *, query: PathQuery | None = None,
-                tracer=None, pool=None, cache=None,
+                tracer=None, cache=None,
                 engine: str = "auto") -> PathQueryResult:
     if query is None:
         query = parse_pathql(text)
@@ -234,7 +228,7 @@ def _run_pathql(graph, text: str, ctx=None, *, query: PathQuery | None = None,
             mode, paths, count, quality = hit
             return PathQueryResult(mode, list(paths), count, quality=quality)
         result = _run_pathql(graph, text, ctx, query=query, tracer=tracer,
-                             pool=pool, engine=engine)
+                             engine=engine)
         if result.quality == "exact":
             cache.store(graph, key, pathql_footprint(query),
                         (result.mode, tuple(result.paths), result.count,
@@ -260,13 +254,13 @@ def _run_pathql(graph, text: str, ctx=None, *, query: PathQuery | None = None,
                                             rng=query.seed,
                                             start_nodes=starts, end_nodes=ends,
                                             engine=engine,
-                                            tracer=tracer, pool=pool)
+                                            tracer=tracer)
             return PathQueryResult("count", [], governed.value,
                                    quality=governed.quality,
                                    degradations=tuple(governed.degradations))
         count = count_paths_exact(graph, query.regex, length,
                                   start_nodes=starts, end_nodes=ends,
-                                  engine=engine, pool=pool)
+                                  engine=engine)
         return PathQueryResult("count", [], count)
     if query.mode == "count-approx":
         counter = ApproxPathCounter(graph, query.regex, length,

@@ -101,9 +101,12 @@ class TestInvocationValidation:
             capsys.readouterr().err
 
     def test_pathql_validates_workers_too(self, fig2_file, capsys):
-        assert main(["pathql", fig2_file,
-                     "PATHS MATCHING contact LENGTH 1 COUNT",
-                     "--workers", "0"]) == 2
+        """Only ``batch`` fans out; on ``pathql`` --workers is unknown."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pathql", fig2_file,
+                  "PATHS MATCHING contact LENGTH 1 COUNT",
+                  "--workers", "2"])
+        assert excinfo.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
     def test_missing_batch_file_exits_two(self, fig2_file, tmp_path,
@@ -171,12 +174,3 @@ class TestObservabilityOutput:
                      "--workers", "2", "--trace"]) == 0
         err = capsys.readouterr().err
         assert "parallel" in err and "worker:0" in err
-
-    def test_pathql_workers_flag_single_query(self, fig2_file, capsys):
-        """--workers on the single-query frontend routes through the pool
-        and prints the same answer as the serial path."""
-        query = "PATHS MATCHING (contact + rides)* LENGTH 3 COUNT"
-        assert main(["pathql", fig2_file, query]) == 0
-        serial = capsys.readouterr().out
-        assert main(["pathql", fig2_file, query, "--workers", "2"]) == 0
-        assert capsys.readouterr().out == serial

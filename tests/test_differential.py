@@ -1,18 +1,15 @@
-"""Differential harness: parallel == serial == vector == brute-force.
+"""Differential harness: serial == vector == reference.
 
-Every instance is a seeded random (graph, regex) pair checked four ways:
+Every instance is a seeded random (graph, regex) pair checked three ways:
 
 1. **serial** — ``endpoint_pairs`` / ``count_paths_exact`` as shipped
    (product-automaton machinery, label indexes, interning);
-2. **parallel** — the same query through a :class:`WorkerPool` with 2 and
-   with 4 workers (forked processes where the platform has ``fork``, the
-   inline path otherwise);
-3. **vector** — the numpy bitset kernel, forced through
+2. **vector** — the numpy bitset kernel, forced through
    ``engine="vector"`` *and* invoked again directly on the compiled
    automaton, which reads its exact-label and wildcard transitions back
    from the snapshot's CSR memo; vector counts re-sweep the backward
    layers through the array path;
-4. **reference** — implementations written to be *obviously* correct and
+3. **reference** — implementations written to be *obviously* correct and
    sharing no code with the engine: endpoint pairs by relational algebra
    over the regex AST (edge relations, joins, unions, Warshall closure),
    path counts by the exhaustive enumerator ``count_paths_bruteforce``.
@@ -42,15 +39,11 @@ from repro.datasets import (
     erdos_renyi,
     random_labeled_graph,
 )
-from repro.errors import BudgetExceeded
-from repro.exec import Budget, Context, WorkerPool
-from repro.exec.parallel import sharded_count_paths, sharded_endpoint_pairs
 
 SEEDS = tuple(int(seed) for seed in
               os.environ.get("REPRO_FUZZ_SEEDS", "0,1,2").split(","))
 GRAPHS_PER_SEED = 12
 REGEXES_PER_GRAPH = 28
-WORKER_COUNTS = (2, 4)
 
 #: Enumeration is exponential; keep the brute-force count cross-check on
 #: graphs it can exhaust quickly.
@@ -194,95 +187,58 @@ def test_default_configuration_exceeds_thousand_instances():
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_parallel_equals_serial_equals_bruteforce(seed):
+def test_serial_equals_vector_equals_reference(seed):
     rng = random.Random(900_000 + seed)
     instances = 0
     for name, graph in make_graphs(seed):
-        pools = [WorkerPool(graph, workers) for workers in WORKER_COUNTS]
-        try:
-            for _ in range(REGEXES_PER_GRAPH):
-                text = random_regex_text(rng)
-                where = f"seed={seed} graph={name} regex={text!r}"
-                regex = parse_regex(text)
+        for _ in range(REGEXES_PER_GRAPH):
+            text = random_regex_text(rng)
+            where = f"seed={seed} graph={name} regex={text!r}"
+            regex = parse_regex(text)
 
-                serial_pairs = endpoint_pairs(graph, regex, engine="scalar")
-                assert serial_pairs == reference_pairs(graph, regex), where
-                assert endpoint_pairs(graph, regex, engine="vector") \
-                    == serial_pairs, f"{where} engine=vector"
-                assert vector_endpoint_pairs(graph, compile_regex(regex)) \
-                    == serial_pairs, f"{where} kernel (memoized CSRs)"
-                for pool in pools:
-                    pooled = sharded_endpoint_pairs(pool, graph, regex)
-                    assert pooled == serial_pairs, \
-                        f"{where} workers={pool.workers}"
+            serial_pairs = endpoint_pairs(graph, regex, engine="scalar")
+            assert serial_pairs == reference_pairs(graph, regex), where
+            assert endpoint_pairs(graph, regex, engine="vector") \
+                == serial_pairs, f"{where} engine=vector"
+            assert vector_endpoint_pairs(graph, compile_regex(regex)) \
+                == serial_pairs, f"{where} kernel (memoized CSRs)"
 
-                k = rng.randint(0, BRUTE_FORCE_MAX_K)
-                serial_count = count_paths_exact(graph, regex, k,
-                                                 engine="scalar")
-                assert count_paths_exact(graph, regex, k, engine="vector") \
-                    == serial_count, f"{where} k={k} engine=vector"
-                for pool in pools:
-                    pooled_count = sharded_count_paths(pool, graph, regex, k)
-                    assert pooled_count == serial_count, \
-                        f"{where} k={k} workers={pool.workers}"
-                if len(list(graph.nodes())) <= BRUTE_FORCE_MAX_NODES:
-                    assert (serial_count
-                            == count_paths_bruteforce(graph, regex, k)), \
-                        f"{where} k={k}"
-                instances += 1
-        finally:
-            for pool in pools:
-                pool.close()
+            k = rng.randint(0, BRUTE_FORCE_MAX_K)
+            serial_count = count_paths_exact(graph, regex, k,
+                                             engine="scalar")
+            assert count_paths_exact(graph, regex, k, engine="vector") \
+                == serial_count, f"{where} k={k} engine=vector"
+            if len(list(graph.nodes())) <= BRUTE_FORCE_MAX_NODES:
+                assert (serial_count
+                        == count_paths_bruteforce(graph, regex, k)), \
+                    f"{where} k={k}"
+            instances += 1
     assert instances == GRAPHS_PER_SEED * REGEXES_PER_GRAPH
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_restricted_endpoints_differential(seed):
-    """Start/end-node restrictions shard differently (fewer, uneven
-    shards); pin them against the serial engine on every seed."""
+    """Start/end-node restrictions bypass the chain join and seed the
+    kernel from a subset of the nodes; pin scalar == vector under them on
+    every seed."""
     rng = random.Random(700_000 + seed)
     name, graph = make_graphs(seed)[2]  # the largest uniform family
     nodes = sorted(graph.nodes(), key=str)
-    with WorkerPool(graph, 3) as pool:
-        for _ in range(10):
-            text = random_regex_text(rng)
-            regex = parse_regex(text)
-            starts = rng.sample(nodes, rng.randint(1, len(nodes)))
-            ends = (None if rng.random() < 0.5
-                    else rng.sample(nodes, rng.randint(1, len(nodes))))
-            where = f"seed={seed} regex={text!r} starts={starts} ends={ends}"
-            serial = endpoint_pairs(graph, regex, start_nodes=starts,
-                                    end_nodes=ends, engine="scalar")
-            assert endpoint_pairs(graph, regex, start_nodes=starts,
-                                  end_nodes=ends, engine="vector") \
-                == serial, f"{where} engine=vector"
-            assert sharded_endpoint_pairs(
-                pool, graph, regex, start_nodes=starts,
-                end_nodes=ends) == serial, where
-            serial_count = count_paths_exact(graph, regex, 2,
-                                             start_nodes=starts,
-                                             end_nodes=ends, engine="scalar")
-            assert count_paths_exact(graph, regex, 2, start_nodes=starts,
-                                     end_nodes=ends, engine="vector") \
-                == serial_count, f"{where} engine=vector"
-            assert sharded_count_paths(
-                pool, graph, regex, 2, start_nodes=starts,
-                end_nodes=ends) == serial_count, where
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_budget_exhaustion_is_clean_and_recoverable(seed):
-    """Exhaustion through the pool is the same typed error as serial
-    exhaustion, and the pool answers correctly right after — no poisoned
-    events, no stuck workers."""
-    _, graph = make_graphs(seed)[2]
-    regex = parse_regex("(r + s + t)*")
-    with pytest.raises(BudgetExceeded) as serial_exc:
-        count_paths_exact(graph, regex, 4, ctx=Context(Budget(max_steps=5)))
-    with WorkerPool(graph, 2) as pool:
-        with pytest.raises(BudgetExceeded) as pooled_exc:
-            sharded_count_paths(pool, graph, regex, 4,
-                                ctx=Context(Budget(max_steps=5)))
-        assert pooled_exc.value.resource == serial_exc.value.resource
-        assert (sharded_count_paths(pool, graph, regex, 4)
-                == count_paths_exact(graph, regex, 4))
+    for _ in range(10):
+        text = random_regex_text(rng)
+        regex = parse_regex(text)
+        starts = rng.sample(nodes, rng.randint(1, len(nodes)))
+        ends = (None if rng.random() < 0.5
+                else rng.sample(nodes, rng.randint(1, len(nodes))))
+        where = f"seed={seed} regex={text!r} starts={starts} ends={ends}"
+        serial = endpoint_pairs(graph, regex, start_nodes=starts,
+                                end_nodes=ends, engine="scalar")
+        assert endpoint_pairs(graph, regex, start_nodes=starts,
+                              end_nodes=ends, engine="vector") \
+            == serial, f"{where} engine=vector"
+        serial_count = count_paths_exact(graph, regex, 2,
+                                         start_nodes=starts,
+                                         end_nodes=ends, engine="scalar")
+        assert count_paths_exact(graph, regex, 2, start_nodes=starts,
+                                 end_nodes=ends, engine="vector") \
+            == serial_count, f"{where} engine=vector"

@@ -20,33 +20,46 @@ from repro.exec import (
     MIN_FRACTION_SECONDS,
     Budget,
     Context,
+    FaultInjector,
     count_paths_governed,
 )
 
 
-def _drained_context(deadline: float = 5.0) -> Context:
+def _drained_context(deadline: float = 5.0, **context_kwargs) -> Context:
     """A context whose wall-clock budget is (just about) used up."""
-    ctx = Context(Budget(deadline=deadline))
+    ctx = Context(Budget(deadline=deadline), **context_kwargs)
     ctx.skew_clock(deadline - 1e-9)
     return ctx
 
 
+def _frozen_clock() -> float:
+    """A clock that never advances on its own: slice arithmetic is then
+    exact and independent of how fast the host runs the test."""
+    return 0.0
+
+
 def test_fraction_of_drained_deadline_still_grants_time():
-    child = _drained_context().fraction(0.5)
+    child = _drained_context(clock=_frozen_clock).fraction(0.5)
     left = child.time_left()
     assert left is not None
     assert left > MIN_FRACTION_SECONDS / 2  # not the pre-fix ~0 slice
 
 
 def test_fraction_child_of_drained_parent_can_checkpoint():
-    """Pre-fix, the child's first checkpoint raised BudgetExceeded."""
-    child = _drained_context().fraction(0.5)
+    """Pre-fix, the child's first checkpoint raised BudgetExceeded.
+
+    Time advances only by the injected 10 µs per checkpoint, so the ten
+    checkpoints spend a tenth of the floored slice on any host.
+    """
+    child = _drained_context(
+        clock=_frozen_clock,
+        faults=FaultInjector(skew_per_checkpoint=1e-5)).fraction(0.5)
     for _ in range(10):
         child.checkpoint("test-site")
 
 
 def test_fraction_floor_applies_to_every_rung_share():
-    parent = _drained_context()
+    parent = _drained_context(clock=_frozen_clock)
     for share in (0.5, 0.4, 0.1):
         left = parent.fraction(share).time_left()
         assert left is not None and left >= MIN_FRACTION_SECONDS * 0.5

@@ -1,10 +1,13 @@
-"""WorkerPool semantics: sharding, budgets, faults, traces, batch sessions.
+"""WorkerPool semantics: budgets, faults, traces, batch sessions.
 
-The differential harness (test_differential.py) pins *equivalence* at
-scale; this file pins the pool's contracts one by one — partitioning,
-budget subdivision and global binding, two-way cancellation, per-worker
-fault targeting, deterministic trace merging, and the BatchSession's
-per-query error isolation.
+This file pins the pool's contracts one by one, driving
+:meth:`WorkerPool.run_tasks` with the test-only tasks registered below —
+budget subdivision and global binding, the stats merge, two-way
+cancellation, per-worker fault targeting, error ranking, deterministic
+trace merging, recovery after a failed run, and the BatchSession's
+per-query error isolation.  The RPQ tasks run the serial entry points on
+the worker's fork-inherited graph, so each task is one whole query, as in
+a batch.
 """
 
 from __future__ import annotations
@@ -13,9 +16,8 @@ import json
 
 import pytest
 
-from repro.analytics import hits, pagerank
 from repro.core.rpq import count_paths_exact, endpoint_pairs, parse_regex
-from repro.datasets import clustered_labeled_graph, random_labeled_graph
+from repro.datasets import random_labeled_graph
 from repro.errors import BudgetExceeded, Cancelled, WorkerFailed
 from repro.exec import (
     BatchQuery,
@@ -28,13 +30,7 @@ from repro.exec import (
     fork_available,
 )
 from repro.exec.budget import MIN_FRACTION_SECONDS
-from repro.exec.parallel import (
-    partition_chunks,
-    partition_ranges,
-    register_task,
-    sharded_count_paths,
-    sharded_endpoint_pairs,
-)
+from repro.exec.parallel import register_task
 from repro.models import figure2_labeled, figure2_property
 from repro.obs import Tracer
 
@@ -61,6 +57,29 @@ def _task_spin(state, payload, ctx, tracer):
     return payload["steps"]
 
 
+@register_task("test.count_paths")
+def _task_count_paths(state, payload, ctx, tracer):
+    return count_paths_exact(state["graph"], payload["regex"], payload["k"],
+                             ctx=ctx)
+
+
+@register_task("test.endpoint_pairs")
+def _task_endpoint_pairs(state, payload, ctx, tracer):
+    return endpoint_pairs(state["graph"], payload["regex"], ctx=ctx,
+                          tracer=tracer)
+
+
+def count_tasks(regex_text: str, k: int, n: int = 2) -> list[tuple]:
+    """``n`` copies of one Count query, one per task."""
+    return [("test.count_paths",
+             {"regex": parse_regex(regex_text), "k": k})] * n
+
+
+def pairs_tasks(regex_text: str, n: int = 2) -> list[tuple]:
+    """``n`` copies of one endpoint-pairs query, one per task."""
+    return [("test.endpoint_pairs", {"regex": parse_regex(regex_text)})] * n
+
+
 @pytest.fixture
 def graph():
     return random_labeled_graph(12, 30, rng=5)
@@ -78,34 +97,6 @@ def forked_pool(graph):
         pytest.skip("platform has no fork start method")
     with WorkerPool(graph, 2) as pool:
         yield pool
-
-
-class TestPartitioning:
-    def test_chunks_are_contiguous_and_cover(self):
-        items = list(range(10))
-        shards = partition_chunks(items, 3)
-        assert [list(s) for s in shards] == [[0, 1, 2, 3], [4, 5, 6, 7],
-                                             [8, 9]]
-        assert sum(len(s) for s in shards) == len(items)
-
-    def test_more_shards_than_items_drops_empties(self):
-        assert partition_chunks([1, 2], 5) == [(1,), (2,)]
-        assert partition_chunks([], 3) == []
-
-    def test_single_shard_is_identity(self):
-        assert partition_chunks([3, 1, 2], 1) == [(3, 1, 2)]
-
-    def test_zero_shards_rejected(self):
-        with pytest.raises(ValueError):
-            partition_chunks([1], 0)
-        with pytest.raises(ValueError):
-            partition_ranges(4, 0)
-
-    def test_ranges_tile_the_interval(self):
-        ranges = partition_ranges(10, 4)
-        assert ranges[0][0] == 0 and ranges[-1][1] == 10
-        for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
-            assert hi == lo
 
 
 class TestSubdivide:
@@ -145,11 +136,9 @@ class TestPoolLifecycle:
 
     def test_single_worker_is_inline(self, inline_pool):
         assert inline_pool.is_inline
-        assert inline_pool.n_shards == 1
 
     def test_forked_pool_is_not_inline(self, forked_pool):
         assert not forked_pool.is_inline
-        assert forked_pool.n_shards == 2
 
     def test_close_is_idempotent_and_degrades_to_inline(self, graph):
         pool = WorkerPool(graph, 2)
@@ -171,61 +160,6 @@ class TestPoolLifecycle:
         assert [r["worker"] for r in results] == [0, 1, 0, 1, 0, 1, 0]
 
 
-class TestShardedEquivalence:
-    REGEXES = ["(r + s)*", "r/s", "?a/r/(r + s)*", "s^-/r", "(r/s)*+r"]
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("regex_text", REGEXES)
-    def test_endpoint_pairs_match_serial(self, graph, workers, regex_text):
-        regex = parse_regex(regex_text)
-        serial = endpoint_pairs(graph, regex)
-        with WorkerPool(graph, workers) as pool:
-            assert sharded_endpoint_pairs(pool, graph, regex) == serial
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("regex_text", REGEXES)
-    def test_count_paths_match_serial(self, graph, workers, regex_text):
-        regex = parse_regex(regex_text)
-        serial = count_paths_exact(graph, regex, 3)
-        with WorkerPool(graph, workers) as pool:
-            assert sharded_count_paths(pool, graph, regex, 3) == serial
-
-    def test_restricted_and_duplicated_start_nodes(self, graph):
-        regex = parse_regex("r/(r + s)")
-        starts = ["v1", "v3", "v5", "v3", "v1"]  # duplicates must not double
-        serial = endpoint_pairs(graph, regex, start_nodes=set(starts))
-        with WorkerPool(graph, 2) as pool:
-            assert sharded_endpoint_pairs(pool, graph, regex,
-                                          start_nodes=starts) == serial
-            assert (sharded_count_paths(pool, graph, regex, 2,
-                                        start_nodes=starts)
-                    == count_paths_exact(graph, regex, 2,
-                                         start_nodes=set(starts)))
-
-    def test_end_node_restriction(self, graph):
-        regex = parse_regex("(r + s)/(r + s)")
-        ends = ["v0", "v2"]
-        serial = endpoint_pairs(graph, regex, end_nodes=ends)
-        with WorkerPool(graph, 2) as pool:
-            assert sharded_endpoint_pairs(pool, graph, regex,
-                                          end_nodes=ends) == serial
-
-    def test_pool_keyword_on_serial_entry_points(self, graph):
-        """endpoint_pairs/count_paths_exact grow a pool= that delegates."""
-        regex = parse_regex("(r + s)*/r")
-        with WorkerPool(graph, 2) as pool:
-            assert (endpoint_pairs(graph, regex, pool=pool)
-                    == endpoint_pairs(graph, regex))
-            assert (count_paths_exact(graph, regex, 2, pool=pool)
-                    == count_paths_exact(graph, regex, 2))
-
-    def test_pool_bound_to_other_graph_rejected(self, graph):
-        other = figure2_labeled()
-        with WorkerPool(other, 2) as pool:
-            with pytest.raises(ValueError, match="different graph"):
-                sharded_endpoint_pairs(pool, graph, parse_regex("r"))
-
-
 class TestBudgetsAcrossWorkers:
     def test_worker_steps_charge_the_parent_counter(self, forked_pool):
         ctx = Context(Budget(max_steps=1000))
@@ -240,37 +174,56 @@ class TestBudgetsAcrossWorkers:
         assert ctx.stats.checkpoints["parallel.submit"] == 1
 
     def test_global_step_budget_binds_through_the_pool(self, graph):
-        regex = parse_regex("(r + s)*")
+        tasks = count_tasks("(r + s)*", 4)
         with WorkerPool(graph, 2) as pool:
             ctx = Context(Budget(max_steps=5))
             with pytest.raises(BudgetExceeded) as excinfo:
-                sharded_count_paths(pool, graph, regex, 4, ctx=ctx)
+                pool.run_tasks(tasks, ctx=ctx)
             assert excinfo.value.resource == "steps"
             # The pool survives the failure and still answers.
-            assert (sharded_count_paths(pool, graph, regex, 4, ctx=Context())
-                    == count_paths_exact(graph, regex, 4))
+            assert (pool.run_tasks(tasks, ctx=Context())
+                    == [count_paths_exact(graph, parse_regex("(r + s)*"),
+                                          4)] * 2)
 
     def test_inline_and_forked_agree_on_exhaustion(self, graph):
-        regex = parse_regex("(r + s)*")
         outcomes = []
         for workers in (1, 2):
             with WorkerPool(graph, workers) as pool:
                 try:
-                    sharded_count_paths(pool, graph, regex, 4,
-                                        ctx=Context(Budget(max_steps=5)))
+                    pool.run_tasks(count_tasks("(r + s)*", 4),
+                                   ctx=Context(Budget(max_steps=5)))
                     outcomes.append("ok")
                 except BudgetExceeded as exceeded:
                     outcomes.append(exceeded.resource)
         assert outcomes == ["steps", "steps"]
 
-    def test_degradations_merge_back(self, forked_pool, graph):
+    def test_degradations_merge_back(self, forked_pool):
         """Worker-side stats (checkpoint sites) reach the parent stats."""
-        regex = parse_regex("(r + s)*")
         ctx = Context(Budget(max_steps=100_000))
-        sharded_endpoint_pairs(forked_pool, graph, regex, ctx=ctx)
+        forked_pool.run_tasks(pairs_tasks("(r + s)*"), ctx=ctx)
         sites = set(ctx.stats.checkpoints)
         assert "parallel.submit" in sites
         assert any(site != "parallel.submit" for site in sites)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_budget_exhaustion_is_clean_and_recoverable(self, seed):
+        """Exhaustion through the pool is the same typed error as serial
+        exhaustion, and the pool answers correctly right after — no
+        poisoned events, no stuck workers."""
+        graph = random_labeled_graph(13, 40, node_labels=("a", "b"),
+                                     edge_labels=("r", "s", "t"),
+                                     rng=10 * seed + 2)
+        regex = parse_regex("(r + s + t)*")
+        tasks = count_tasks("(r + s + t)*", 4)
+        with pytest.raises(BudgetExceeded) as serial_exc:
+            count_paths_exact(graph, regex, 4,
+                              ctx=Context(Budget(max_steps=5)))
+        with WorkerPool(graph, 2) as pool:
+            with pytest.raises(BudgetExceeded) as pooled_exc:
+                pool.run_tasks(tasks, ctx=Context(Budget(max_steps=5)))
+            assert pooled_exc.value.resource == serial_exc.value.resource
+            assert (pool.run_tasks(tasks)
+                    == [count_paths_exact(graph, regex, 4)] * 2)
 
 
 class TestCancellation:
@@ -285,20 +238,20 @@ class TestCancellation:
         faults = FaultInjector(fail_at=3, kind="cancel")
         with WorkerPool(graph, 2, fault_plans={0: faults, 1: faults}) as pool:
             with pytest.raises(Cancelled):
-                sharded_count_paths(pool, graph, parse_regex("(r + s)*"), 4,
-                                    ctx=Context())
+                pool.run_tasks(count_tasks("(r + s)*", 4), ctx=Context())
 
     def test_event_clears_between_runs(self, graph):
         """A cancelled run must not poison the next one (event reset)."""
         faults = FaultInjector(fail_at=3, kind="cancel")
         with WorkerPool(graph, 2, fault_plans={0: faults}) as pool:
             with pytest.raises((Cancelled, BudgetExceeded)):
-                sharded_count_paths(pool, graph, parse_regex("(r + s)*"), 4,
-                                    ctx=Context())
+                pool.run_tasks(count_tasks("(r + s)*", 4), ctx=Context())
             # The injector is one-shot (fired=True persists in the worker),
-            # so a clean event means this run completes.
-            assert (sharded_endpoint_pairs(pool, graph, parse_regex("r"))
-                    == endpoint_pairs(graph, parse_regex("r")))
+            # so a clean event means this run completes.  The query runs
+            # past CANCEL_POLL_INTERVAL checkpoints, so a stale event
+            # would be seen.
+            assert (pool.run_tasks(pairs_tasks("(r + s)*"))
+                    == [endpoint_pairs(graph, parse_regex("(r + s)*"))] * 2)
 
 
 class TestFaultTargeting:
@@ -307,17 +260,20 @@ class TestFaultTargeting:
         plans = {1: FaultInjector(fail_at=1, kind="deadline")}
         with WorkerPool(graph, 2, fault_plans=plans) as pool:
             with pytest.raises(BudgetExceeded) as excinfo:
-                sharded_count_paths(pool, graph, parse_regex("(r + s)*"), 3,
-                                    ctx=Context())
+                pool.run_tasks(count_tasks("(r + s)*", 3), ctx=Context())
             assert excinfo.value.injected
 
     def test_budget_error_outranks_sibling_cancellations(self, graph):
-        """Whichever shard order the errors land in, the cause wins."""
-        plans = {0: FaultInjector(fail_at=2, kind="steps")}
+        """The budget error on task 1 outranks the cancellation it causes
+        in task 0, which spins until the shared event stops it."""
+        if not fork_available():
+            pytest.skip("platform has no fork start method")
+        plans = {1: FaultInjector(fail_at=2, kind="steps")}
+        tasks = [("test.spin", {"steps": 10**7}),
+                 *count_tasks("(r + s)*", 3, 1)]
         with WorkerPool(graph, 2, fault_plans=plans) as pool:
             with pytest.raises(BudgetExceeded) as excinfo:
-                sharded_count_paths(pool, graph, parse_regex("(r + s)*"), 3,
-                                    ctx=Context())
+                pool.run_tasks(tasks, ctx=Context())
             assert excinfo.value.resource == "steps"
 
     def test_unplanned_worker_exception_raises_worker_failed(self,
@@ -345,14 +301,15 @@ def _strip_timing(span: dict) -> dict:
 
 
 class TestTraceMerging:
-    def _trace(self, pool, graph) -> dict:
+    def _trace(self, pool) -> dict:
+        """One endpoint-pairs task per worker, traced."""
         tracer = Tracer()
-        sharded_endpoint_pairs(pool, graph, parse_regex("(r + s)*/r"),
-                               ctx=Context(), tracer=tracer)
+        pool.run_tasks(pairs_tasks("(r + s)*/r", pool.workers),
+                       ctx=Context(), tracer=tracer)
         return tracer.to_dict()
 
-    def test_merged_shape(self, forked_pool, graph):
-        trace = self._trace(forked_pool, graph)
+    def test_merged_shape(self, forked_pool):
+        trace = self._trace(forked_pool)
         assert [span["name"] for span in trace["spans"]] == ["parallel"]
         parallel = trace["spans"][0]
         assert parallel["attrs"] == {"workers": 2, "tasks": 2,
@@ -367,48 +324,22 @@ class TestTraceMerging:
         if not fork_available():
             pytest.skip("platform has no fork start method")
         with WorkerPool(graph, 2) as pool:
-            first = self._trace(pool, graph)
-            second = self._trace(pool, graph)
+            # The compile span records cache hit/miss deltas: a warm-up run
+            # fills each worker's compile cache, whatever ran before.
+            self._trace(pool)
+            first = self._trace(pool)
+            second = self._trace(pool)
         stripped = [json.dumps([_strip_timing(s) for s in t["spans"]],
                                sort_keys=True)
                     for t in (first, second)]
         assert stripped[0] == stripped[1]
 
-    def test_inline_trace_has_same_span_names(self, inline_pool, graph):
-        trace = self._trace(inline_pool, graph)
+    def test_inline_trace_has_same_span_names(self, inline_pool):
+        trace = self._trace(inline_pool)
         assert [span["name"] for span in trace["spans"]] == ["parallel"]
         parallel = trace["spans"][0]
         assert parallel["attrs"]["inline"] is True
         assert [c["name"] for c in parallel["children"]] == ["worker:0"]
-
-
-class TestAnalyticsSharding:
-    @pytest.fixture
-    def analytics_graph(self):
-        return clustered_labeled_graph(6, 8, 20, rng=3)
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_pagerank_matches_serial(self, analytics_graph, workers):
-        serial = pagerank(analytics_graph)
-        with WorkerPool(analytics_graph, workers) as pool:
-            pooled = pagerank(analytics_graph, pool=pool)
-        assert pooled.keys() == serial.keys()
-        for node, score in serial.items():
-            assert pooled[node] == pytest.approx(score, abs=1e-9)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_hits_matches_serial(self, analytics_graph, workers):
-        serial_hub, serial_auth = hits(analytics_graph)
-        with WorkerPool(analytics_graph, workers) as pool:
-            hub, auth = hits(analytics_graph, pool=pool)
-        for node in serial_hub:
-            assert hub[node] == pytest.approx(serial_hub[node], abs=1e-9)
-            assert auth[node] == pytest.approx(serial_auth[node], abs=1e-9)
-
-    def test_pagerank_rejects_foreign_pool(self, analytics_graph):
-        with WorkerPool(figure2_labeled(), 2) as pool:
-            with pytest.raises(ValueError):
-                pagerank(analytics_graph, pool=pool)
 
 
 class TestBatchSession:
