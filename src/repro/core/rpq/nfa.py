@@ -35,6 +35,10 @@ class NFA:
       one graph edge conforming to ``test`` in the given direction.
     - ``epsilon_transitions[q]`` is a list of ``(guard, q')`` where ``guard``
       is a node :class:`Test` or ``None`` for an unconditional epsilon move.
+
+    :meth:`guard_free_closures` fills a memo on first use; it is a pure
+    function of the transitions, so a shared automaton stays read-only in
+    every observable way.
     """
 
     start: int = 0
@@ -42,6 +46,44 @@ class NFA:
     n_states: int = 2
     edge_transitions: dict[int, list[tuple[Test, bool, int]]] = field(default_factory=dict)
     epsilon_transitions: dict[int, list[tuple[Test | None, int]]] = field(default_factory=dict)
+    _guard_free: list | None = field(default=None, init=False, repr=False,
+                                     compare=False)
+
+    def epsilon_closure(self, q: int, guard_holds=None) -> frozenset[int] | None:
+        """The states reachable from ``q`` by epsilon moves, kept to those
+        that leave by an edge transition or accept (a Thompson
+        pass-through state does neither).  A guarded move is taken when
+        ``guard_holds(guard)`` is true; with ``guard_holds=None`` the first
+        guard met returns ``None``, because only a closure that meets no
+        guard is the same at every node."""
+        result: set[int] = set()
+        stack = [q]
+        while stack:
+            state = stack.pop()
+            if state in result:
+                continue
+            result.add(state)
+            for guard, target in self.epsilon_transitions.get(state, ()):
+                if target in result:
+                    continue
+                if guard is not None:
+                    if guard_holds is None:
+                        return None
+                    if not guard_holds(guard):
+                        continue
+                stack.append(target)
+        return frozenset(state for state in result
+                         if state in self.edge_transitions
+                         or state == self.accept)
+
+    def guard_free_closures(self) -> list[frozenset[int] | None]:
+        """:meth:`epsilon_closure` of every state with guards unevaluated
+        (``None`` where one is met), computed once per automaton: the
+        compile cache shares it across every query of the same shape."""
+        if self._guard_free is None:
+            self._guard_free = [self.epsilon_closure(q)
+                                for q in range(self.n_states)]
+        return self._guard_free
 
     def _new_state(self) -> int:
         state = self.n_states

@@ -21,7 +21,11 @@ accepting runs), which is precisely why exact counting is SpanL-hard.
 
 Node-test guards of the symbolic NFA become epsilon moves evaluated at a
 concrete node and are closed away during construction, so the product has no
-epsilon transitions.
+epsilon transitions.  A closure that meets no guard is the same at every
+node and is computed once per compiled automaton.  Only the NFA states
+that leave by an edge transition or accept become product states:
+Thompson's pass-through states would have empty tables and never accept,
+so they would add states without adding a word.
 
 **Label-selective construction.**  Each symbolic edge transition is asked
 for its *label restriction* (:meth:`Test.label_candidates` /
@@ -312,38 +316,24 @@ def build_product(graph, nfa: NFA,
     """
     product = ProductNFA(graph, nfa)
     end_filter = None if end_nodes is None else set(end_nodes)
+    epsilon_sources = nfa.epsilon_transitions.keys()
+    edge_sources = nfa.edge_transitions.keys()
+    accept = nfa.accept
+
+    # A closure that meets no guard is the same at every node (computed
+    # once per automaton); guarded ones are evaluated per (state, node).
+    guard_free = nfa.guard_free_closures()
     closure_cache: dict[tuple[int, object], frozenset[int]] = {}
 
-    def closure(nfa_states: Iterable[int], node) -> frozenset[int]:
-        """Guarded-epsilon closure of NFA states, evaluated at ``node``."""
-        result: set[int] = set()
-        stack = list(nfa_states)
-        while stack:
-            q = stack.pop()
-            if q in result:
-                continue
-            result.add(q)
-            for guard, q2 in nfa.epsilon_transitions.get(q, ()):
-                if q2 not in result and (guard is None or guard.matches_node(graph, node)):
-                    stack.append(q2)
-        return frozenset(result)
-
-    # An NFA state without epsilon moves closes to itself at every node, so
-    # its closure is one shared frozenset rather than a per-node computation.
-    epsilon_sources = nfa.epsilon_transitions.keys()
-    trivial_closure: dict[int, frozenset[int]] = {}
-
     def cached_closure(q: int, node) -> frozenset[int]:
-        if q not in epsilon_sources:
-            found = trivial_closure.get(q)
-            if found is None:
-                found = trivial_closure[q] = frozenset((q,))
+        found = guard_free[q]
+        if found is not None:
             return found
         key = (q, node)
         found = closure_cache.get(key)
         if found is None:
-            found = closure((q,), node)
-            closure_cache[key] = found
+            found = closure_cache[key] = nfa.epsilon_closure(
+                q, lambda guard: guard.matches_node(graph, node))
         return found
 
     def intern(q: int, node) -> int:
@@ -364,9 +354,12 @@ def build_product(graph, nfa: NFA,
     def product_states_for(nfa_states: frozenset[int], node) -> frozenset[int]:
         states = []
         for q in nfa_states:
+            accepting = q == accept and (end_filter is None or node in end_filter)
+            if not accepting and q not in edge_sources:
+                continue  # the accept state outside end_nodes is dead
             index = intern(q, node)
             states.append(index)
-            if q == nfa.accept and (end_filter is None or node in end_filter):
+            if accepting:
                 accept_states.add(index)
             if index not in seen:
                 seen.add(index)
@@ -406,6 +399,8 @@ def build_product(graph, nfa: NFA,
                     closed = cached_closure(q2, next_node)
                     successors = product_states_for(closed, next_node)
                     successor_cache[successor_key] = successors
+                if not successors:
+                    continue
                 existing = table.get(symbol)
                 table[symbol] = (successors if existing is None
                                  else existing | successors)
@@ -456,8 +451,9 @@ def build_product(graph, nfa: NFA,
                 ctx.checkpoint("product.init")
             if not graph.has_node(node):
                 raise GraphError(f"start node {node!r} is not in the graph")
-            reached = cached_closure(nfa.start, node)
-            init_table[("init", node)] = product_states_for(reached, node)
+            reached = product_states_for(cached_closure(nfa.start, node), node)
+            if reached:
+                init_table[("init", node)] = reached
     product.transitions[INITIAL] = init_table
 
     # Explore edge transitions from every reachable product state.

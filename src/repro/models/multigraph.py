@@ -26,6 +26,9 @@ class MultiGraph:
     Per-node incidence is stored as insertion-ordered dicts keyed by edge id,
     so ``remove_edge`` is O(1) while iteration order stays deterministic
     (insertion order, exactly as the previous list-based representation).
+    The node set is the key set of the outgoing index, so ``nodes()`` is in
+    insertion order too, the same in every process whatever the string
+    hash seed.
 
     Every graph owns a :class:`~repro.cache.versioning.MutationLog`: a
     monotonically increasing :attr:`version` plus label-granular records of
@@ -39,7 +42,6 @@ class MultiGraph:
     """
 
     def __init__(self) -> None:
-        self._nodes: set[Const] = set()
         self._edges: dict[Const, tuple[Const, Const]] = {}
         self._out: dict[Const, dict[Const, None]] = {}
         self._in: dict[Const, dict[Const, None]] = {}
@@ -54,8 +56,7 @@ class MultiGraph:
 
     def add_node(self, node: Const) -> Const:
         """Add a node; adding an existing node is a no-op (graphs integrate)."""
-        if node not in self._nodes:
-            self._nodes.add(node)
+        if node not in self._out:
             self._out[node] = {}
             self._in[node] = {}
             self.mutation_log.record("add_node", structural_nodes=True,
@@ -95,7 +96,6 @@ class MultiGraph:
         for edge in list(self._out[node]) + list(self._in[node]):
             if edge in self._edges:
                 self.remove_edge(edge)
-        self._nodes.discard(node)
         del self._out[node]
         del self._in[node]
         self.mutation_log.record("remove_node", structural_nodes=True,
@@ -104,13 +104,14 @@ class MultiGraph:
     # -- inspection --------------------------------------------------------
 
     def nodes(self) -> Iterator[Const]:
-        return iter(self._nodes)
+        """Every node, in insertion order (never string-hash order)."""
+        return iter(self._out)
 
     def edges(self) -> Iterator[Const]:
         return iter(self._edges)
 
     def has_node(self, node: Const) -> bool:
-        return node in self._nodes
+        return node in self._out
 
     def has_edge(self, edge: Const) -> bool:
         return edge in self._edges
@@ -192,16 +193,16 @@ class MultiGraph:
         return [e for e in self._out[source] if self._edges[e][1] == target]
 
     def node_count(self) -> int:
-        return len(self._nodes)
+        return len(self._out)
 
     def edge_count(self) -> int:
         return len(self._edges)
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._out)
 
     def __contains__(self, node: Const) -> bool:
-        return node in self._nodes
+        return node in self._out
 
     def __repr__(self) -> str:
         return (f"<{type(self).__name__} nodes={self.node_count()} "
@@ -216,7 +217,7 @@ class MultiGraph:
         absent: equality is about the graph the paper's definitions see,
         not about how it was built.
         """
-        return (self._nodes, self._edges)
+        return (self._out.keys(), self._edges)
 
     def __eq__(self, other: object) -> bool:
         if other is self:
@@ -256,7 +257,7 @@ class MultiGraph:
             self.add_edge(edge, source, target)
 
     def _require_node(self, node: Const) -> None:
-        if node not in self._nodes:
+        if node not in self._out:
             raise UnknownNodeError(node)
 
     # -- bulk loading ------------------------------------------------------
@@ -285,7 +286,6 @@ class MultiGraph:
 
     def _load_node(self, node: Const) -> None:
         if node not in self._out:
-            self._nodes.add(node)
             self._out[node] = {}
             self._in[node] = {}
 

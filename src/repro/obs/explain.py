@@ -391,13 +391,20 @@ def _term(term) -> str:
 
 def explain_cypher(store, text: str, *, engine: str = "auto", view=None,
                    as_of: int | None = None) -> ExplainReport:
-    """Strategy report for a mini-Cypher query: candidate sources + expansions."""
-    from repro.query.cypherish import parse_cypher
+    """Strategy report for a mini-Cypher query: candidate sources + expansions.
+
+    Under ``RETURN DISTINCT`` a rel inside a witness tail (see
+    :func:`~repro.query.cypherish.witness_positions`) reports its
+    expansion wrapped as ``witness(...)``: the evaluator stops it at the
+    first completion per node.
+    """
+    from repro.query.cypherish import parse_cypher, witness_positions
 
     query = parse_cypher(text)
     graph = store.graph
     pattern_reports = []
-    for pattern in query.patterns:
+    for pattern, witness in zip(query.patterns, witness_positions(query)):
+        first_witness = min(witness, default=len(pattern.rels))
         nodes = []
         for node_pattern in pattern.nodes:
             if node_pattern.properties:
@@ -416,9 +423,11 @@ def explain_cypher(store, text: str, *, engine: str = "auto", view=None,
                 "estimated_candidates": estimate,
             })
         rels = []
-        for rel in pattern.rels:
+        for position, rel in enumerate(pattern.rels):
             expansion = (f"bfs({rel.min_hops}..{rel.max_hops})"
                          if rel.variable_length else "adjacency")
+            if position >= first_witness:
+                expansion = f"witness({expansion})"
             rels.append({
                 "var": rel.var if rel.var else "(anon)",
                 "label": rel.label if rel.label is not None else "(any)",

@@ -16,7 +16,10 @@ Supported grammar (a practical core of openCypher)::
 Evaluation is backtracking pattern matching over the store's label and
 adjacency indexes, with variable-length relationships expanded breadth
 first between their bounds (binding the relationship variable to the edge
-list).  Comparisons are numeric when both sides look numeric, otherwise
+list).  Under ``RETURN DISTINCT`` a pattern tail that binds only
+variables nothing else reads is matched existentially: the first
+completion from a node answers it (see :func:`witness_positions`).
+Comparisons are numeric when both sides look numeric, otherwise
 lexicographic, matching the string-valued property model.
 """
 
@@ -391,8 +394,15 @@ def run_cypher(store: PropertyGraphStore, text: str, *,
     match set would silently drop rows, so no partial answer is offered.
 
     With a :class:`~repro.obs.Tracer` the run records ``parse`` and
-    ``evaluate`` spans (strategy, pattern counts, rows returned);
+    ``evaluate`` spans (strategy, pattern counts, rows returned, and for
+    an evaluated query ``witness_checks`` / ``witness_hits``: witness
+    tails computed, and witness tails answered from the memo);
     ``tracer=None`` takes the exact pre-tracing code path.
+
+    ``RETURN DISTINCT`` queries stop each witness tail (see
+    :func:`witness_positions`) at its first completion and memoize the
+    answer per (pattern, position, node) for the evaluation, so a memo
+    hit spends no ``cypher.expand`` checkpoints.
 
     With a :class:`~repro.cache.QueryCache` (``cache=``), results are
     memoized under the parsed query (a frozen AST, so formatting variants
@@ -426,14 +436,14 @@ def run_cypher(store: PropertyGraphStore, text: str, *,
                      strategy="backtracking-match") as span:
         span.attrs["patterns"] = len(query.patterns)
         result = _run_cypher(store, text, ctx, query=query, cache=cache,
-                             engine=engine)
+                             engine=engine, span=span)
         span.attrs["rows"] = len(result.rows)
         return result
 
 
 def _run_cypher(store: PropertyGraphStore, text: str, ctx=None, *,
                 query: CypherQuery | None = None, cache=None,
-                engine: str = "auto") -> CypherResult:
+                engine: str = "auto", span=None) -> CypherResult:
     if query is None:
         query = parse_cypher(text)
     if cache is not None:
@@ -444,7 +454,8 @@ def _run_cypher(store: PropertyGraphStore, text: str, ctx=None, *,
         if hit is not MISS:
             columns, rows = hit
             return CypherResult(columns, list(rows))
-        result = _run_cypher(store, text, ctx, query=query, engine=engine)
+        result = _run_cypher(store, text, ctx, query=query, engine=engine,
+                             span=span)
         cache.store(store, key, cypher_footprint(query),
                     (result.columns, tuple(result.rows)))
         return result
@@ -460,9 +471,15 @@ def _run_cypher(store: PropertyGraphStore, text: str, ctx=None, *,
     if ctx is not None:
         ctx.stats.notes["engine"] = resolved
         ctx.stats.notes["engine_reason"] = reason
+    tails = [_WitnessTails(positions) if positions else None
+             for positions in witness_positions(query)]
     bindings = [{}]
-    for pattern in query.patterns:
-        bindings = _match_path(store, pattern, bindings, ctx, engine=resolved)
+    for pattern, witness in zip(query.patterns, tails):
+        bindings = _match_path(store, pattern, bindings, ctx, engine=resolved,
+                               witness=witness)
+    if span is not None:
+        span.attrs["witness_checks"] = sum(len(t.answers) for t in tails if t)
+        span.attrs["witness_hits"] = sum(t.hits for t in tails if t)
     if query.where is not None:
         bindings = [b for b in bindings if _bool_holds(store, query.where, b)]
 
@@ -493,19 +510,79 @@ def _run_cypher(store: PropertyGraphStore, text: str, ctx=None, *,
     return CypherResult(columns, rows)
 
 
+def witness_positions(query: CypherQuery) -> tuple[frozenset[int], ...]:
+    """Per pattern, the positions where a ``RETURN DISTINCT`` match may
+    stop at one witness.
+
+    Position ``p`` of a pattern is a witness position when the pattern's
+    *tail* past its ``p``-th node (``rels[p:]`` and ``nodes[p + 1:]``)
+    binds only variables that nothing else reads: no RETURN item, no WHERE
+    condition, no other comma pattern and no earlier position of the same
+    pattern (its *head*, ``nodes[:p + 1]`` and ``rels[:p]``).  A DISTINCT
+    row is a projection of a binding, and such a tail is neither
+    projected, filtered on nor joined, while its match depends only on the
+    node bound at ``p``.  So every completion of one head binding yields
+    the same rows, and the first completion can stand for all of them: it
+    sits where the enumeration's first copy sat, which keeps the
+    deduplicated rows and their order.  A tail may repeat its own
+    variables; the existence search carries the binding.  Non-DISTINCT
+    queries count every completion and get no witness positions.  EXPLAIN
+    reads the same positions.
+    """
+    if not query.distinct:
+        return tuple(frozenset() for _ in query.patterns)
+    read = {item.expr.var for item in query.items}
+    if query.where is not None:
+        for clause in query.where.clauses:
+            for condition in clause:
+                read.update((condition.left.var, condition.right.var))
+    # Each pattern's variables in match order: node 0, then rel i and
+    # node i + 1 per hop; the tail past position p starts at slot 2p + 1.
+    slots = [[pattern.nodes[0].var] + [var for rel, node in
+                                       zip(pattern.rels, pattern.nodes[1:])
+                                       for var in (rel.var, node.var)]
+             for pattern in query.patterns]
+    result = []
+    for index, own in enumerate(slots):
+        outside = read.union(*(other for at, other in enumerate(slots)
+                               if at != index))
+        positions = []
+        for position in range(len(query.patterns[index].rels)):
+            cut = 2 * position + 1
+            tail = {var for var in own[cut:] if var}
+            if tail.isdisjoint(outside) and tail.isdisjoint(own[:cut]):
+                positions.append(position)
+        result.append(frozenset(positions))
+    return tuple(result)
+
+
+class _WitnessTails:
+    """One pattern's witness memo for one evaluation: (position, node) ->
+    whether the tail past that position completes from that node."""
+
+    __slots__ = ("positions", "answers", "hits")
+
+    def __init__(self, positions: frozenset[int]) -> None:
+        self.positions = positions
+        self.answers: dict[tuple, bool] = {}
+        self.hits = 0
+
+
 def _match_path(store: PropertyGraphStore, pattern: PathPattern,
                 bindings: list[dict], ctx=None, *,
-                engine: str = "scalar") -> list[dict]:
+                engine: str = "scalar",
+                witness: _WitnessTails | None = None) -> list[dict]:
     results: list[dict] = []
     for binding in bindings:
         results.extend(_match_from(store, pattern, 0, binding, ctx,
-                                   engine=engine))
+                                   engine=engine, witness=witness))
     return results
 
 
 def _match_from(store: PropertyGraphStore, pattern: PathPattern,
                 position: int, binding: dict, ctx=None, *,
-                engine: str = "scalar") -> list[dict]:
+                engine: str = "scalar",
+                witness: _WitnessTails | None = None) -> list[dict]:
     node_pattern = pattern.nodes[position]
     candidates = _node_candidates(store, node_pattern, binding)
     solutions: list[dict] = []
@@ -516,15 +593,22 @@ def _match_from(store: PropertyGraphStore, pattern: PathPattern,
         if extended is None:
             continue
         solutions.extend(_match_tail(store, pattern, position, node, extended,
-                                     ctx, engine=engine))
+                                     ctx, engine=engine, witness=witness))
     return solutions
 
 
 def _match_tail(store: PropertyGraphStore, pattern: PathPattern,
                 position: int, node, binding: dict, ctx=None, *,
-                engine: str = "scalar") -> list[dict]:
+                engine: str = "scalar",
+                witness: _WitnessTails | None = None) -> list[dict]:
     if position == len(pattern.rels):
         return [binding]
+    if witness is not None and position in witness.positions:
+        # The tail binds nothing anyone reads: one completion decides.
+        if _tail_exists(store, pattern, position, node, binding, ctx,
+                        engine, witness):
+            return [binding]
+        return []
     rel = pattern.rels[position]
     solutions: list[dict] = []
     for next_node, with_rel in _expand_rel(store, rel, node, binding, ctx,
@@ -535,8 +619,42 @@ def _match_tail(store: PropertyGraphStore, pattern: PathPattern,
             continue
         solutions.extend(_match_tail(store, pattern, position + 1,
                                      next_node, target_check, ctx,
-                                     engine=engine))
+                                     engine=engine, witness=witness))
     return solutions
+
+
+def _tail_exists(store: PropertyGraphStore, pattern: PathPattern,
+                 position: int, node, binding: dict, ctx, engine: str,
+                 witness: _WitnessTails) -> bool:
+    """Whether ``pattern`` completes past ``position`` from ``node``.
+
+    Depth first, stopping at the first completion.  Answers at witness
+    positions depend on the node alone, so they are memoized; a position
+    inside a witness tail that is not itself one (the tail repeats a
+    variable bound before it) is searched with the binding, unmemoized.
+    """
+    if position == len(pattern.rels):
+        return True
+    memoized = position in witness.positions
+    if memoized:
+        key = (position, node)
+        found = witness.answers.get(key)
+        if found is not None:
+            witness.hits += 1
+            return found
+    found = False
+    next_pattern = pattern.nodes[position + 1]
+    for next_node, with_rel in _expand_rel(store, pattern.rels[position],
+                                           node, binding, ctx, engine=engine):
+        extended = _bind_node(next_pattern, next_node, with_rel, store)
+        if extended is not None and _tail_exists(
+                store, pattern, position + 1, next_node, extended, ctx,
+                engine, witness):
+            found = True
+            break
+    if memoized:
+        witness.answers[key] = found
+    return found
 
 
 def _node_candidates(store: PropertyGraphStore, pattern: NodePattern,

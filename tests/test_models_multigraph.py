@@ -1,5 +1,10 @@
 """Unit tests for the base multigraph model."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import DuplicateIdError, UnknownEdgeError, UnknownNodeError
@@ -86,6 +91,30 @@ class TestInspection:
         assert "a" in graph
         assert "zzz" not in graph
         assert len(graph) == 3
+
+    def test_nodes_iterate_in_insertion_order(self):
+        graph = MultiGraph()
+        names = [f"n{i}" for i in range(40)] + ["zeta", "alpha", "mid"]
+        for name in names:
+            graph.add_node(name)
+        assert list(graph.nodes()) == names
+        graph.remove_node("n3")
+        graph.add_node("n3")
+        assert list(graph.nodes()) == names[:3] + names[4:] + ["n3"]
+
+    def test_node_order_does_not_depend_on_the_hash_seed(self):
+        """String hashing is salted per process; node order must not be."""
+        script = ("from repro.datasets import generate_contact_graph\n"
+                  "print(list(generate_contact_graph(300, 12).nodes())[:5])")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        printed = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            printed.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert printed[0] == printed[1] == str([f"n{i}" for i in
+                                                range(1, 6)]) + "\n"
 
 
 class TestMutation:

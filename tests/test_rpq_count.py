@@ -4,8 +4,14 @@ including a hypothesis cross-check on random graphs and regexes."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.rpq import count_paths_bruteforce, count_paths_exact, parse_regex
-from repro.datasets import random_labeled_graph
+from repro.core.rpq import (
+    build_product,
+    count_paths_bruteforce,
+    count_paths_exact,
+    parse_regex,
+)
+from repro.core.rpq.nfa import compile_regex
+from repro.datasets import complete_multigraph, random_labeled_graph
 from repro.models import LabeledGraph
 
 
@@ -125,3 +131,25 @@ class TestTrickyStars:
         assert count_paths_exact(fig2_labeled, regex, 0) == \
             fig2_labeled.node_count()
         assert count_paths_exact(fig2_labeled, regex, 1) == 0
+
+
+class TestProductShape:
+    @pytest.mark.parametrize("start_nodes", [None, ["v2", "v0"]])
+    def test_only_accepting_states_have_empty_tables(self, start_nodes):
+        """Thompson pass-through states (no edge transition, not the accept
+        state) are never interned: on a graph where every node has every
+        label in both directions, each other product state leaves by an
+        edge.  The ``?node`` guard holds everywhere, so the guarded
+        per-node closures are exercised without emptying a table."""
+        graph = complete_multigraph(3)
+        regex = parse_regex("(a + ?node/b^-)*/(a/b + b)*/(a + (b)*)")
+        product = build_product(graph, compile_regex(regex),
+                                start_nodes=start_nodes)
+        empty = [product.state_keys[state]
+                 for state in range(1, product.n_states())
+                 if not product.transitions[state]
+                 and state not in product.accepts]
+        assert empty == []
+        for k in range(3):
+            assert (count_paths_exact(graph, regex, k, start_nodes)
+                    == count_paths_bruteforce(graph, regex, k, start_nodes))
