@@ -1,6 +1,6 @@
 """Query result caching with versioned, label-footprint invalidation.
 
-Three pieces:
+Three modules:
 
 - :mod:`repro.cache.versioning` — the per-graph :class:`MutationLog` every
   model maintains (a monotonically increasing ``version`` plus bounded
@@ -8,14 +8,16 @@ Three pieces:
 - :mod:`repro.cache.footprint` — :class:`Footprint` and the
   :func:`label_footprint` / :func:`sparql_footprint` /
   :func:`cypher_footprint` visitors computing what a query *reads*;
-- :mod:`repro.cache.result_cache` — :class:`QueryCache`, the LRU memo
-  serving a cached result iff no intersecting mutation occurred since it
-  was stored.
+- :mod:`repro.cache.result_cache` — the one memo primitive: an
+  :class:`Entry` (value, version, footprint) whose check re-stamps it
+  across disjoint records, and :class:`Memo`, a weakref-guarded LRU of
+  entries.  :class:`QueryCache` is the memo's query front-end; the vector
+  snapshots, the footprint-recompute views and the property-store index
+  hold entries of their own.
 
-The invalidation rule (sound, per the footprint test suite): a cached
-answer survives a mutation exactly when the mutation's record is disjoint
-from the query's footprint.  Everything else — re-evaluation, refresh,
-metrics — follows from that single predicate.
+The invalidation rule (sound, per the footprint test suite): a memoized
+value survives a mutation exactly when the mutation's record is disjoint
+from its footprint.  :meth:`Entry.check` is the one place that applies it.
 """
 
 from repro.cache.footprint import (
@@ -26,12 +28,14 @@ from repro.cache.footprint import (
     sparql_footprint,
     test_footprint,
 )
-from repro.cache.result_cache import MISS, QueryCache
+from repro.cache.result_cache import MISS, Entry, Memo, QueryCache
 from repro.cache.versioning import MutationLog, MutationRecord
 
 __all__ = [
+    "Entry",
     "Footprint",
     "MISS",
+    "Memo",
     "MutationLog",
     "MutationRecord",
     "QueryCache",

@@ -1,41 +1,50 @@
-"""The query result cache: memoization with label-footprint invalidation.
+"""The footprint-gated memo: one invalidation rule for every cache here.
 
-A :class:`QueryCache` maps ``(graph identity, canonical query key)`` to a
-previously computed result, remembering the graph version the result was
-computed at and the query's :class:`~repro.cache.footprint.Footprint`.  On
-lookup against a newer graph version, the entry is served only if no
-mutation recorded since its version intersects its footprint (the sound
-invalidation rule); otherwise it counts as *stale*, is evicted, and the
-caller re-evaluates and refreshes.
+A memoized value survives every mutation whose record misses its
+footprint (DESIGN §4f).  That rule is implemented once, in two parts:
 
-Graphs are identified by identity, held through a weak reference so a cache
-never keeps a dead graph's entries alive as false hits for a recycled
-``id()``.  Any object carrying a ``mutation_log`` attribute (the
-:class:`~repro.cache.versioning.MutationLog` protocol: the MultiGraph
-family, :class:`~repro.models.rdf.RDFGraph`,
-:class:`~repro.storage.triple_store.TripleStore`, and
-:class:`~repro.storage.property_store.PropertyGraphStore` by delegation)
-is cacheable; anything else is a permanent miss.
+- :class:`Entry` holds ``(value, version, footprint)``; its
+  :meth:`~Entry.check` re-stamps the entry across footprint-disjoint
+  records and otherwise reports it stale, or its history truncated.  A
+  footprint is anything with an ``intersects(record)`` method, usually a
+  :class:`~repro.cache.footprint.Footprint`.
+- :class:`Memo` is a bounded LRU of entries keyed by ``(target identity,
+  key)``, holding each target through a weak reference so a dead target's
+  entries are never served to an object that recycled its ``id()``.  Any
+  object carrying a ``mutation_log`` (the MultiGraph family,
+  :class:`~repro.models.rdf.RDFGraph`,
+  :class:`~repro.storage.triple_store.TripleStore`,
+  :class:`~repro.storage.property_store.PropertyGraphStore` by
+  delegation) is memoizable; anything else is a permanent miss.
 
-Thread/process notes: a cache is plain in-process state with no locks —
-use one per worker (as :class:`~repro.exec.batch.BatchSession` does) rather
-than sharing across threads.  Entries hold weakrefs, so caches are
-deliberately not picklable; create them on the worker side of a fork.
+:class:`QueryCache` is the memo's query front-end.  The vector snapshots
+(:func:`~repro.core.rpq.vectorized.arrays.graph_arrays`) keep their own
+:class:`Memo`; each footprint-recompute view pins one :class:`Entry`, and
+:class:`~repro.storage.property_store.PropertyGraphStore` keeps one per
+indexed property.
+
+A memo is plain in-process state with no locks: use one per worker (as
+:class:`~repro.exec.batch.BatchSession` does).  Entries hold weakrefs, so
+memos are deliberately not picklable.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
 
-from repro.cache.footprint import Footprint
 from repro.util import canonical_sort_key
 
 #: Sentinel distinguishing "no cached value" from a cached ``None``.
 MISS = object()
 
 DEFAULT_MAX_ENTRIES = 512
+
+#: Outcomes of :meth:`Entry.check`.  The first two may be served.
+CURRENT = "current"
+RESTAMPED = "restamped"
+STALE = "stale"
+TRUNCATED = "truncated"
 
 
 def nodes_key(nodes):
@@ -54,71 +63,87 @@ def nodes_key(nodes):
     return tuple(sorted(nodes, key=canonical_sort_key))
 
 
-@dataclass
-class _Entry:
-    ref: weakref.ref
-    version: int
-    footprint: Footprint
-    value: object
+class Entry:
+    """A memoized value, the version it is valid at, and what it reads."""
+
+    __slots__ = ("value", "version", "footprint")
+
+    def __init__(self, value, version: int, footprint) -> None:
+        self.value = value
+        self.version = version
+        self.footprint = footprint
+
+    def check(self, log) -> str:
+        """Is the value still current at ``log.version``?
+
+        :data:`CURRENT` when nothing was logged since the entry's version;
+        :data:`RESTAMPED` when every record since misses the footprint
+        (the entry then moves to the current version, so the next check is
+        O(1) again); :data:`STALE` when some record intersects it;
+        :data:`TRUNCATED` when the log has dropped records newer than the
+        entry's version, so validity cannot be proved.
+        """
+        version = log.version
+        if self.version == version:
+            return CURRENT
+        if self.version < log.horizon:
+            return TRUNCATED
+        if log.intersects_since(self.version, self.footprint):
+            return STALE
+        self.version = version
+        return RESTAMPED
 
 
-class QueryCache:
-    """LRU result cache keyed by (graph identity, canonical query form)."""
+class Memo:
+    """LRU of :class:`Entry` keyed by (target identity, key).
 
-    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES,
-                 metrics=None) -> None:
+    ``stats()`` counts hits, misses and stale misses; ``stale`` is a
+    subset cause of ``misses`` and covers truncated history too.
+    """
+
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
+        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
         self._hits = 0
         self._misses = 0
         self._stale = 0
-        self._metrics = metrics
-
-    def attach_metrics(self, metrics) -> None:
-        """Mirror hit/miss/stale counts into an :class:`~repro.obs.Metrics`
-        registry (counters ``cache.hits`` / ``cache.misses`` /
-        ``cache.stale``) from now on."""
-        self._metrics = metrics
-
-    # -- core protocol -----------------------------------------------------
 
     def lookup(self, target, key):
-        """Return the cached value for ``key`` on ``target``, or :data:`MISS`.
+        """Return the memoized value for ``key`` on ``target``, or :data:`MISS`.
 
         A hit requires the stored entry to be provably current: either the
         target's version is unchanged, or every mutation since lies outside
-        the entry's footprint (in which case the entry is re-stamped at the
-        current version, so the next lookup is O(1) again).
+        the entry's footprint (in which case the entry is re-stamped).
         """
         log = getattr(target, "mutation_log", None)
-        if log is None:
-            return self._miss()
         full_key = (id(target), key)
-        entry = self._entries.get(full_key)
-        if entry is None or entry.ref() is not target:
-            if entry is not None:  # id() reuse after gc: drop the corpse
-                del self._entries[full_key]
-            return self._miss()
-        version = log.version
-        if entry.version != version:
-            if log.intersects_since(entry.version, entry.footprint):
-                del self._entries[full_key]
-                return self._stale_miss()
-            entry.version = version
-        self._entries.move_to_end(full_key)
-        return self._hit(entry.value)
+        slot = self._entries.get(full_key) if log is not None else None
+        if slot is not None:
+            ref, entry = slot
+            if ref() is target:
+                if entry.check(log) in (CURRENT, RESTAMPED):
+                    self._entries.move_to_end(full_key)
+                    self._hits += 1
+                    return entry.value
+                self._stale += 1
+            # Stale, or left by a dead target whose id() was recycled.
+            del self._entries[full_key]
+        self._misses += 1
+        return MISS
 
-    def store(self, target, key, footprint: Footprint, value) -> None:
+    def store(self, target, key, footprint, value) -> None:
         """Remember ``value`` for ``key`` at the target's current version."""
         log = getattr(target, "mutation_log", None)
         if log is None:
             return
+        try:
+            ref = weakref.ref(target)
+        except TypeError:  # not weakref-able: never memoized
+            return
         full_key = (id(target), key)
-        self._entries[full_key] = _Entry(
-            ref=weakref.ref(target), version=log.version,
-            footprint=footprint, value=value)
+        self._entries[full_key] = (ref, Entry(value, log.version, footprint))
         self._entries.move_to_end(full_key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
@@ -126,29 +151,7 @@ class QueryCache:
     def clear(self) -> None:
         self._entries.clear()
 
-    # -- accounting --------------------------------------------------------
-
-    def _hit(self, value):
-        self._hits += 1
-        if self._metrics is not None:
-            self._metrics.counter("cache.hits").inc()
-        return value
-
-    def _miss(self):
-        self._misses += 1
-        if self._metrics is not None:
-            self._metrics.counter("cache.misses").inc()
-        return MISS
-
-    def _stale_miss(self):
-        self._stale += 1
-        if self._metrics is not None:
-            self._metrics.counter("cache.stale").inc()
-        return self._miss()
-
     def stats(self) -> dict:
-        """Counts for ``--cache-stats`` and the bench harness.  ``stale`` is
-        a subset cause of ``misses`` (every stale lookup is also a miss)."""
         return {
             "hits": self._hits,
             "misses": self._misses,
@@ -161,5 +164,16 @@ class QueryCache:
         return len(self._entries)
 
     def __repr__(self) -> str:
-        return (f"<QueryCache entries={len(self._entries)} "
-                f"hits={self._hits} misses={self._misses} stale={self._stale}>")
+        return (f"<{type(self).__name__} entries={len(self._entries)} "
+                f"hits={self._hits} misses={self._misses} "
+                f"stale={self._stale}>")
+
+
+class QueryCache(Memo):
+    """Result cache keyed by (graph identity, canonical query form)."""
+
+    # Bound in this class's own namespace so instrumentation that wraps
+    # ``QueryCache.lookup`` (perfbench/layers.py) times query-cache
+    # traffic only, not the other memos built on :class:`Memo`.
+    lookup = Memo.lookup
+    store = Memo.store

@@ -9,9 +9,10 @@ Public surface:
 - :func:`back_layers_vectorized` — array-swept backward layers feeding
   the exact-count subset DP;
 - :func:`graph_arrays` + :func:`adjacency_cache_info` /
-  :func:`clear_adjacency_cache` — the per-(graph, version) adjacency
-  snapshot cache, invalidated through the mutation log; each snapshot
-  memoizes its transitions' CSRs (:meth:`GraphArrays.transition_csr`).
+  :func:`clear_adjacency_cache` — the per-graph adjacency snapshots,
+  memoized under the structure-only footprint (node and edge sets, edge
+  labels); each snapshot memoizes its transitions' CSRs
+  (:meth:`GraphArrays.transition_csr`).
 
 The scalar engine never imports this package's numpy-touching modules at
 query time unless an evaluation actually resolves to ``vector``, so

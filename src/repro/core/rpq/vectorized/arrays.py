@@ -1,4 +1,4 @@
-"""Array-ified graph snapshots for the vector kernel, cached per version.
+"""Array-ified graph snapshots for the vector kernel, memoized per graph.
 
 :class:`GraphArrays` freezes one graph into the index form every vector
 evaluation needs: a node order (id ↔ dense index remap — node ids may be
@@ -8,32 +8,26 @@ memoizes each edge transition's destination-sorted CSR
 (:meth:`GraphArrays.transition_csr`) for the tests whose answer the
 snapshot alone decides, so repeated label sets build once per snapshot.
 
-Builds are cached per *(graph identity, version)* in a small LRU keyed by
-``id(graph)`` and guarded by a weakref (the
-:class:`~repro.cache.QueryCache` corpse-check idiom: an entry whose graph
-died can never be served to an ``id()``-reusing successor).  Invalidation
-rides the PR-5 :class:`~repro.cache.versioning.MutationLog`: an entry is
-reused iff no record since its build touched the node/edge *structure* or
-an edge label — exactly what the arrays encode.  Property, feature and
-node-label writes leave the entry valid (guards and non-label tests are
-evaluated live against the graph), and the entry is re-stamped to the
-current version so the next check is O(new records) again.  A truncated
-log answers conservatively: rebuild.  The CSR memo lives on the entry, so
-the same check governs it: it is dropped with a rebuilt entry and kept
+:func:`graph_arrays` keeps the snapshots of the last eight graphs in a
+:class:`~repro.cache.result_cache.Memo`, weakref-guarded per graph
+identity, and reuses one while no record since its build touched what the
+arrays encode: the node and edge *sets* and the edge labels.  Property,
+feature and node-label writes re-stamp the snapshot instead (guards and
+non-label tests are evaluated live against the graph).  A truncated log
+answers conservatively: rebuild.  The CSR memo lives on the snapshot, so
+the same check governs it: it is dropped with a rebuilt snapshot and kept
 across a re-stamp, which is why it holds only CSRs that depend on nothing
 a re-stamp lets through (exact label sets and the wildcard).
 """
 
 from __future__ import annotations
 
-import weakref
-from collections import OrderedDict
-
+from repro.cache.result_cache import MISS, Memo
 from repro.core.rpq.ast import TrueTest
 from repro.core.rpq.vectorized.engine import numpy_or_none
 
-#: Default number of graphs whose arrays are retained.
-_DEFAULT_CACHE_SIZE = 8
+#: Number of graphs whose snapshots are retained.
+_SNAPSHOT_ENTRIES = 8
 
 #: Memo key of the wildcard test (no label set equals it).
 _WILDCARD = "*"
@@ -43,7 +37,7 @@ class GraphArrays:
     """One graph flattened to numpy index arrays (read-only snapshot)."""
 
     __slots__ = ("nodes", "index", "n", "m", "edges", "src", "dst",
-                 "label_positions", "version", "_csr_memo")
+                 "label_positions", "_csr_memo")
 
     def __init__(self, graph) -> None:
         np = numpy_or_none()
@@ -59,7 +53,6 @@ class GraphArrays:
             self.index = {node: i for i, node in enumerate(self.nodes)}
             self.n = len(self.nodes)
             self.m = len(self.edges)
-            self.version = getattr(graph, "version", None)
             return
         self.nodes = list(graph.nodes())
         self.index = {node: i for i, node in enumerate(self.nodes)}
@@ -87,7 +80,6 @@ class GraphArrays:
             positions = {label: np.asarray(bucket, dtype=np.int32)
                          for label, bucket in buckets.items()}
         self.label_positions = positions
-        self.version = getattr(graph, "version", None)
 
     def edge_mask(self, graph, test, use_label_index: bool = True):
         """Boolean mask over edge positions: which edges pass ``test``.
@@ -181,88 +173,39 @@ def _sorted_csr(src, dst):
     return src[order], seg_starts, dst_sorted[seg_starts]
 
 
-class _ArraysCache:
-    """Bounded LRU of :class:`GraphArrays`, invalidated by mutation logs."""
-
-    def __init__(self, maxsize: int = _DEFAULT_CACHE_SIZE) -> None:
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.rebuilds = 0
-        self._entries: OrderedDict = OrderedDict()
-
-    def lookup(self, graph) -> GraphArrays:
-        key = id(graph)
-        entry = self._entries.get(key)
-        if entry is not None:
-            ref, arrays = entry
-            if ref() is not graph:
-                # The graph this entry was built for died; ``id()`` reuse
-                # must not serve its arrays to a different graph.
-                del self._entries[key]
-            elif self._still_valid(graph, arrays):
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return arrays
-            else:
-                del self._entries[key]
-                self.rebuilds += 1
-        self.misses += 1
-        arrays = GraphArrays(graph)
-        try:
-            ref = weakref.ref(graph)
-        except TypeError:
-            return arrays  # not weakref-able: build fresh, never cache
-        self._entries[key] = (ref, arrays)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        return arrays
+class _Structure:
+    """Footprint of a snapshot: the node and edge sets and the edge labels."""
 
     @staticmethod
-    def _still_valid(graph, arrays: GraphArrays) -> bool:
-        version = getattr(graph, "version", None)
-        if version is None or arrays.version is None:
-            return False
-        if version == arrays.version:
-            return True
-        log = getattr(graph, "mutation_log", None)
-        if log is None:
-            return False
-        records = log.records_since(arrays.version)
-        if records is None:  # history truncated: assume the worst
-            return False
-        for record in records:
-            if (record.structural_edges or record.structural_nodes
-                    or record.edge_labels):
-                return False
-        # Only property/feature/node-label writes landed; the arrays do
-        # not encode those, so re-stamp and keep the entry.
-        arrays.version = version
-        return True
-
-    def info(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "rebuilds": self.rebuilds,
-                "currsize": len(self._entries), "maxsize": self.maxsize}
+    def intersects(record) -> bool:
+        return bool(record.structural_edges or record.structural_nodes
+                    or record.edge_labels)
 
 
-_CACHE = _ArraysCache()
+_STRUCTURE = _Structure()
+
+_SNAPSHOTS = Memo(_SNAPSHOT_ENTRIES)
 
 
 def graph_arrays(graph) -> GraphArrays:
-    """The (possibly cached) :class:`GraphArrays` snapshot of ``graph``."""
-    return _CACHE.lookup(graph)
+    """The (possibly memoized) :class:`GraphArrays` snapshot of ``graph``."""
+    arrays = _SNAPSHOTS.lookup(graph, None)
+    if arrays is MISS:
+        arrays = GraphArrays(graph)
+        _SNAPSHOTS.store(graph, None, _STRUCTURE, arrays)
+    return arrays
 
 
 def adjacency_cache_info() -> dict:
-    """Counters of the process-wide arrays cache (mirrors
-    :func:`~repro.core.rpq.nfa.compile_cache_info`)."""
-    return _CACHE.info()
+    """Counters of the process-wide snapshot memo: ``misses`` counts every
+    build, ``rebuilds`` the builds that replaced an invalidated snapshot."""
+    stats = _SNAPSHOTS.stats()
+    return {"hits": stats["hits"], "misses": stats["misses"],
+            "rebuilds": stats["stale"], "currsize": stats["entries"],
+            "maxsize": stats["max_entries"]}
 
 
-def clear_adjacency_cache(maxsize: int | None = None) -> None:
-    """Drop every cached snapshot; optionally resize the cache."""
-    global _CACHE
-    _CACHE = _ArraysCache(_CACHE.maxsize if maxsize is None else maxsize)
+def clear_adjacency_cache() -> None:
+    """Drop every memoized snapshot and reset the counters."""
+    global _SNAPSHOTS
+    _SNAPSHOTS = Memo(_SNAPSHOT_ENTRIES)

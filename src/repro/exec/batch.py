@@ -130,27 +130,14 @@ def _task_batch_query(state, payload, ctx, tracer):
             from repro.cache import QueryCache
 
             query_cache = state["caches"]["query_cache"] = QueryCache()
-    registry_for = None
-    if payload.get("views", False):
-        # One ViewRegistry per frontend target per worker (a registry is
-        # bound to exactly one target), lazily built like the stores.
-        def registry_for(target, slot):
-            registry = state["caches"].get(slot)
-            if registry is None:
-                from repro.ivm import ViewRegistry
-
-                registry = state["caches"][slot] = ViewRegistry(target)
-            return registry
     outcome = {"status": "ok", "value": None, "error": None,
                "degradations": []}
     try:
         if language == "pathql":
             from repro.query.pathql import run_pathql
 
-            view = (registry_for(graph, "view_registry:pathql")
-                    if registry_for is not None else None)
             result = run_pathql(graph, text, ctx=ctx, tracer=tracer,
-                                cache=query_cache, view=view, engine=engine)
+                                cache=query_cache, engine=engine)
             outcome["value"] = _pathql_value(result)
             if result.is_degraded:
                 outcome["status"] = "degraded"
@@ -164,10 +151,8 @@ def _task_batch_query(state, payload, ctx, tracer):
                 store = state["caches"]["sparql_store"] = store_for_graph(graph)
             from repro.query.sparql import run_sparql
 
-            view = (registry_for(store, "view_registry:sparql")
-                    if registry_for is not None else None)
             result = run_sparql(store, text, ctx=ctx, tracer=tracer,
-                                cache=query_cache, view=view, engine=engine)
+                                cache=query_cache, engine=engine)
             outcome["value"] = _table_value(
                 [f"?{v}" for v in result.variables], result.rows)
         else:
@@ -178,10 +163,8 @@ def _task_batch_query(state, payload, ctx, tracer):
                 store = state["caches"]["cypher_store"] = store_for_graph(graph)
             from repro.query.cypherish import run_cypher
 
-            view = (registry_for(store, "view_registry:cypher")
-                    if registry_for is not None else None)
             result = run_cypher(store, text, ctx=ctx, tracer=tracer,
-                                cache=query_cache, view=view, engine=engine)
+                                cache=query_cache, engine=engine)
             outcome["value"] = _table_value(result.columns, result.rows)
     except Cancelled:
         raise
@@ -192,18 +175,6 @@ def _task_batch_query(state, payload, ctx, tracer):
         outcome["status"] = "error"
         outcome["error"] = f"{type(error).__name__}: {error}"
     return outcome
-
-
-@register_task("batch.view_stats")
-def _task_view_stats(state, payload, ctx, tracer):
-    """Report this worker's per-frontend view registries' counters."""
-    out = {}
-    for slot in ("view_registry:pathql", "view_registry:sparql",
-                 "view_registry:cypher"):
-        registry = state["caches"].get(slot)
-        if registry is not None:
-            out[slot.split(":", 1)[1]] = registry.stats()
-    return out
 
 
 @register_task("batch.cache_stats")
@@ -236,17 +207,11 @@ class BatchSession:
     ``engine`` is the session-wide evaluation-engine selector
     (``auto``/``scalar``/``vector``), forwarded to every frontend runner;
     the answer payloads are engine-independent.
-
-    ``views=True`` additionally gives each worker one
-    :class:`~repro.ivm.ViewRegistry` per frontend target, so repeated
-    queries are served from materialized views (sound for the same
-    reason the cache is: the pool freezes the graph for the session);
-    :meth:`view_stats` reports their counters.
     """
 
     def __init__(self, graph, workers: int | None = None, *,
                  fault_plans: dict | None = None, cache: bool = True,
-                 views: bool = False, engine: str = "auto") -> None:
+                 engine: str = "auto") -> None:
         from repro.core.rpq.vectorized.engine import ENGINES
 
         if engine not in ENGINES:
@@ -255,7 +220,6 @@ class BatchSession:
         self.pool = WorkerPool(graph, workers, fault_plans=fault_plans)
         self.graph = graph
         self.cache = cache
-        self.views = views
         self.engine = engine
 
     def __enter__(self) -> "BatchSession":
@@ -286,7 +250,6 @@ class BatchSession:
         tasks = [("batch.query", {"language": query.language,
                                   "text": query.text,
                                   "cache": self.cache,
-                                  "views": self.views,
                                   "engine": self.engine})
                  for query in batch]
         outcomes = self.pool.run_tasks(tasks, ctx=ctx, tracer=tracer)
@@ -316,16 +279,6 @@ class BatchSession:
                 totals[field] += stats[field]
         totals["workers"] = per_worker
         return totals
-
-    def view_stats(self) -> list[dict]:
-        """Per-worker materialized-view counters (``views=True`` sessions).
-
-        One ``batch.view_stats`` probe per worker, returned in worker
-        order; each entry maps frontend name to that worker's registry
-        stats (empty when the worker served no view-backed query).
-        """
-        tasks = [("batch.view_stats", {})] * self.pool.workers
-        return self.pool.run_tasks(tasks)
 
     @staticmethod
     def _coerce(query) -> BatchQuery:

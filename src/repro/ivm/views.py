@@ -15,9 +15,9 @@ materialized state instead of re-evaluating.  Two maintenance strategies:
   incrementally; frontend results carry ordering, limits and seeds)
   re-evaluates when a mutation record intersects the query's footprint,
   and merely *re-stamps* its version when the records since its last
-  evaluation are provably disjoint.  That re-stamp is the same soundness
-  argument :class:`~repro.cache.QueryCache` makes — but a view holds its
-  one answer pinned rather than competing in an LRU.
+  evaluation are provably disjoint.  The view holds its answer in one
+  pinned :class:`~repro.cache.Entry`, whose check is the same one the
+  :class:`~repro.cache.QueryCache` LRU applies to its entries.
 
 Frontends reach views through the ``view=`` keyword of ``run_pathql`` /
 ``run_sparql`` / ``run_cypher``, which lands in the :meth:`serve_pathql` /
@@ -32,11 +32,10 @@ mutate them freely.
 
 from __future__ import annotations
 
-from repro.cache import label_footprint
+from repro.cache import Entry, label_footprint
+from repro.cache.result_cache import CURRENT, RESTAMPED, TRUNCATED
 from repro.errors import ViewError
 from repro.ivm.delta import IncrementalPairs
-
-_NEVER = object()  # "view has not been computed yet" sentinel
 
 
 def _as_graph(target):
@@ -153,13 +152,12 @@ class _RecomputeView(MaterializedView):
         self._compute = compute
         self._to_stored = to_stored
         self._from_stored = from_stored
-        self._stored = _NEVER
-        self._version = -1
+        self._entry: Entry | None = None
         self._stats = {"full_recomputes": 0, "restamps": 0, "truncations": 0}
 
     @property
     def version(self) -> int:
-        return self._version
+        return -1 if self._entry is None else self._entry.version
 
     def sync(self, ctx=None) -> None:
         self._serve(ctx)
@@ -170,25 +168,22 @@ class _RecomputeView(MaterializedView):
 
     def _serve(self, ctx=None, **call_kwargs):
         log = self.target.mutation_log
-        if self._stored is not _NEVER and self._version == log.version:
-            return self._from_stored(self._stored)
-        if self._stored is not _NEVER:
-            records = log.records_since(self._version)
-            if records is None:
-                self._stats["truncations"] += 1
-            elif not any(self.footprint.intersects(record)
-                         for record in records):
-                self._version = log.version
+        entry = self._entry
+        if entry is not None:
+            outcome = entry.check(log)
+            if outcome == RESTAMPED:
                 self._stats["restamps"] += 1
-                return self._from_stored(self._stored)
+            elif outcome == TRUNCATED:
+                self._stats["truncations"] += 1
+            if outcome in (CURRENT, RESTAMPED):
+                return self._from_stored(entry.value)
         version = log.version
         result = self._compute(ctx, call_kwargs)
         self._stats["full_recomputes"] += 1
         stored = self._to_stored(result)
         if stored is None:  # degraded: serve through, stay stale
             return result
-        self._stored = stored
-        self._version = version
+        self._entry = Entry(stored, version, self.footprint)
         return self._from_stored(stored)
 
     def stats(self) -> dict:

@@ -210,6 +210,7 @@ class _Parser:
         if self._peek() is not None:
             raise QuerySyntaxError(f"trailing input {self._peek().value!r}",
                                    self._peek().position)
+        _check_variable_kinds(patterns)
         return CypherQuery(tuple(patterns), where, tuple(items), distinct,
                            order_by, descending, skip, limit)
 
@@ -350,6 +351,25 @@ class _Parser:
 
 
 _DEFAULT_MAX_HOPS = 8
+
+
+def _check_variable_kinds(patterns) -> None:
+    """Reject a variable bound to two kinds of element (a node, an edge, an
+    edge list), as Neo4j reports a type mismatch: the matcher compares a
+    repeated variable's bindings, which only means something within one
+    kind."""
+    kinds: dict[str, str] = {}
+    for pattern in patterns:
+        named = [(node.var, "a node") for node in pattern.nodes]
+        named += [(rel.var, "an edge list" if rel.variable_length
+                   else "an edge") for rel in pattern.rels]
+        for var, kind in named:
+            if var is None:
+                continue
+            seen = kinds.setdefault(var, kind)
+            if seen != kind:
+                raise QuerySyntaxError(
+                    f"variable {var!r} is bound to both {seen} and {kind}")
 
 
 def _unquote(token: str) -> str:
@@ -727,6 +747,8 @@ def _expand_rel(store: PropertyGraphStore, rel: RelPattern, node, binding: dict,
         frontier = next_frontier
         if depth >= rel.min_hops:
             for target, edges in frontier:
+                if rel.var in binding and binding[rel.var] != edges:
+                    continue
                 extended = dict(binding)
                 if rel.var:
                     extended[rel.var] = edges

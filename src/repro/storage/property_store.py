@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
+from repro.cache import Entry, Footprint
+from repro.cache.result_cache import STALE, TRUNCATED
 from repro.models.property import PropertyGraph
 
 
@@ -21,16 +23,16 @@ class PropertyGraphStore:
     The store wraps the *live* graph, so versioning delegates straight to
     it: query results cached against a store are invalidated by mutations
     of the underlying :class:`PropertyGraph`.  The (property, value) index —
-    the one piece of state the store owns — is rebuilt lazily whenever the
-    graph's version has moved since it was last built, so it can no longer
-    serve stale nodes after a mutation.
+    the one piece of state the store owns — is built per property name on
+    its first lookup and held in an :class:`~repro.cache.Entry` whose
+    footprint is that property plus the node set, so it is rebuilt only
+    after a write that can change it: a node added or removed or
+    relabelled, or a value of that property written or deleted.
     """
 
     def __init__(self, graph: PropertyGraph) -> None:
         self.graph = graph
-        self._nodes_by_property: dict = {}
-        self._indexed_version = -1
-        self._rebuild()
+        self._by_property: dict = {}  # prop -> Entry of {value: nodes}
 
     @property
     def version(self) -> int:
@@ -39,14 +41,6 @@ class PropertyGraphStore:
     @property
     def mutation_log(self):
         return self.graph.mutation_log
-
-    def _rebuild(self) -> None:
-        graph = self.graph
-        self._nodes_by_property.clear()
-        self._indexed_version = graph.version
-        for node in graph.nodes():
-            for prop, value in graph.node_properties(node).items():
-                self._nodes_by_property.setdefault((prop, value), set()).add(node)
 
     # -- index lookups ---------------------------------------------------------
 
@@ -57,9 +51,19 @@ class PropertyGraphStore:
         return set(self.graph.edges_with_label(label))
 
     def nodes_with_property(self, prop, value) -> set:
-        if self._indexed_version != self.graph.version:
-            self._rebuild()
-        return set(self._nodes_by_property.get((prop, value), ()))
+        graph = self.graph
+        entry = self._by_property.get(prop)
+        if entry is None or entry.check(graph.mutation_log) in (STALE,
+                                                                TRUNCATED):
+            by_value: dict = {}
+            for node in graph.nodes():
+                props = graph.node_properties(node)
+                if prop in props:
+                    by_value.setdefault(props[prop], set()).add(node)
+            entry = self._by_property[prop] = Entry(
+                by_value, graph.version,
+                Footprint(properties=frozenset((prop,)), all_nodes=True))
+        return set(entry.value.get(value, ()))
 
     def out_edges_labeled(self, node, label) -> list:
         """Outgoing edges of ``node`` with the given label (O(1) index hit)."""

@@ -2,8 +2,7 @@
 
 Covers the mechanics the metamorphic suite exercises only end-to-end:
 version counting across the model hierarchy, conservative truncation,
-weakref identity protection, LRU eviction, stale accounting, and the
-metrics mirror.
+weakref identity protection, LRU eviction and stale accounting.
 """
 
 from __future__ import annotations
@@ -13,7 +12,14 @@ import gc
 import pytest
 
 from repro.cache import Footprint, MISS, MutationLog, QueryCache
-from repro.cache.result_cache import nodes_key
+from repro.cache.result_cache import (
+    CURRENT,
+    RESTAMPED,
+    STALE,
+    TRUNCATED,
+    Entry,
+    nodes_key,
+)
 from repro.cache.versioning import (
     DEFAULT_LOG_CAPACITY,
     LOG_HORIZON_ENV,
@@ -24,7 +30,6 @@ from repro.models.multigraph import MultiGraph
 from repro.models.property import PropertyGraph
 from repro.models.rdf import RDFGraph
 from repro.models.vector import VectorGraph
-from repro.obs import Metrics
 from repro.storage import PropertyGraphStore, TripleStore
 
 
@@ -264,6 +269,58 @@ class TestNodesKey:
         assert key == ("a", "b")
 
 
+class TestEntry:
+    """The one check every memo applies: its four outcomes."""
+
+    R = Footprint(edge_labels=frozenset("r"))
+
+    def test_current_when_nothing_was_logged(self):
+        log = MutationLog()
+        log.record("add_edge", edge_labels=["r"])
+        entry = Entry("v", log.version, self.R)
+        assert entry.check(log) == CURRENT
+        assert entry.version == 1
+
+    def test_restamped_across_disjoint_records(self):
+        log = MutationLog()
+        entry = Entry("v", log.version, self.R)
+        log.record("add_edge", edge_labels=["s"])
+        log.record("set_node_property", properties=["age"])
+        assert entry.check(log) == RESTAMPED
+        assert entry.version == log.version == 2
+        assert entry.check(log) == CURRENT
+
+    def test_stale_when_a_record_intersects(self):
+        log = MutationLog()
+        entry = Entry("v", log.version, self.R)
+        log.record("add_edge", edge_labels=["s"])
+        log.record("remove_edge", edge_labels=["r"])
+        assert entry.check(log) == STALE
+        assert entry.version == 0  # not moved: stale stays stale
+        assert entry.check(log) == STALE
+
+    def test_truncated_when_the_log_dropped_history(self):
+        log = MutationLog(capacity=2)
+        entry = Entry("v", log.version, self.R)
+        for label in "stu":  # all disjoint, but one falls off the log
+            log.record("add_edge", edge_labels=[label])
+        assert entry.check(log) == TRUNCATED
+        assert entry.version == 0
+
+    def test_footprint_is_any_object_with_intersects(self):
+        class NodeSets:
+            @staticmethod
+            def intersects(record):
+                return record.structural_nodes
+
+        log = MutationLog()
+        entry = Entry("v", 0, NodeSets())
+        log.record("set_node_label", node_labels=["a", "b"])
+        assert entry.check(log) == RESTAMPED
+        log.record("add_node", structural_nodes=True)
+        assert entry.check(log) == STALE
+
+
 class TestQueryCache:
     def _graph(self):
         graph = LabeledGraph()
@@ -344,19 +401,6 @@ class TestQueryCache:
         cache.store(graph, "k", Footprint(), 1)
         cache.clear()
         assert cache.lookup(graph, "k") is MISS
-
-    def test_metrics_mirror(self):
-        graph = self._graph()
-        metrics = Metrics()
-        cache = QueryCache(metrics=metrics)
-        cache.lookup(graph, "k")
-        cache.store(graph, "k", Footprint(edge_labels=frozenset("r")), 1)
-        cache.lookup(graph, "k")
-        graph.add_edge("f", "b", "a", "r")
-        cache.lookup(graph, "k")
-        assert metrics.counter("cache.hits").value == 1
-        assert metrics.counter("cache.misses").value == 2
-        assert metrics.counter("cache.stale").value == 1
 
     def test_truncated_history_counts_as_stale(self):
         graph = self._graph()

@@ -140,6 +140,45 @@ class TestMetrics:
         assert "budget exceeded" in capsys.readouterr().err
 
 
+class TestCacheMetrics:
+    def test_metrics_out_writes_cache_counters(self, fig2_file, tmp_path,
+                                               monkeypatch):
+        """``--cache --metrics-out`` folds the run's cache counters into
+        the metrics file: ``cache.hits`` / ``cache.misses`` /
+        ``cache.stale`` equal the cache's ``stats()`` when it exits."""
+        from repro import cli
+        from repro.cache import Footprint
+
+        made = []
+        real_make_cache = cli._make_cache
+
+        def make_warm_cache(args):
+            # Give every counter a distinct non-zero value before the run:
+            # a miss, a store, a hit, then a stale miss after a write.
+            cache = real_make_cache(args)
+            graph = figure2_property()
+            cache.lookup(graph, "k")
+            cache.store(graph, "k",
+                        Footprint(edge_labels=frozenset({"contact"})), 1)
+            cache.lookup(graph, "k")
+            graph.add_edge("e99", "n1", "n4", "contact")
+            cache.lookup(graph, "k")
+            made.append(cache)
+            return cache
+
+        monkeypatch.setattr(cli, "_make_cache", make_warm_cache)
+        metrics_file = tmp_path / "metrics.json"
+        assert main(["pathql", fig2_file, f"{PATHQL} COUNT", "--cache",
+                     "--metrics-out", str(metrics_file)]) == 0
+        (cache,) = made
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["stale"]) == (1, 3, 1)
+        instruments = json.loads(metrics_file.read_text())["instruments"]
+        assert {name: instruments[f"cache.{name}"]["value"]
+                for name in ("hits", "misses", "stale")} \
+            == {name: stats[name] for name in ("hits", "misses", "stale")}
+
+
 class TestSparqlOnLabeled:
     def test_labeled_graph_also_traces(self, labeled_file, tmp_path):
         trace_file = tmp_path / "trace.json"

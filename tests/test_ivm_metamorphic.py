@@ -14,6 +14,11 @@ Validity of the harness itself is established by
 records from the delta stream) must make the harness fail.  A harness
 that stays green under that deliberate bug would be vacuous.
 
+The count and frontend views of a :class:`~repro.ivm.ViewRegistry`
+recompute instead of propagating deltas; the tests at the end of the file
+hold them to the same invariant (served == a plain run after every
+mutation), with fixed cases for a truncated log and a degraded answer.
+
 Extra seeds: ``REPRO_FUZZ_SEEDS=0,1,2,7,13 pytest tests/test_ivm_metamorphic.py``
 """
 
@@ -133,7 +138,7 @@ def test_broken_delta_rule_is_caught(monkeypatch: pytest.MonkeyPatch) -> None:
 
 
 def test_registry_views_follow_mutations() -> None:
-    """Frontend-level views in a registry stay correct across mutations."""
+    """Pair views in a registry stay correct across mutations."""
     from repro.ivm import ViewRegistry
 
     for seed in SEEDS:
@@ -149,3 +154,155 @@ def test_registry_views_follow_mutations() -> None:
                 assert registry.result(f"pairs{i}") == endpoint_pairs(graph, regex), (
                     f"seed={seed} step={step} view=pairs{i} "
                     f"regex={regex.to_text()!r}")
+
+
+RECOMPUTE_GRAPHS = 8
+RECOMPUTE_STEPS = 8
+
+
+def _pathql_rows(result) -> tuple:
+    return (result.mode, result.paths, result.count, result.quality)
+
+
+def _check_recompute_views(graph, triples, views, where: str) -> None:
+    """Every count and frontend view answers what a plain run answers."""
+    from repro.core.rpq import count_paths_exact
+    from repro.query.cypherish import run_cypher
+    from repro.query.pathql import run_pathql
+    from repro.query.sparql import run_sparql
+
+    for name, regex, k in views["counts"]:
+        assert views["graph"].result(name) == count_paths_exact(
+            graph, regex, k), f"{where} view={name} regex={regex.to_text()!r}"
+    for text in views["pathql"]:
+        assert _pathql_rows(run_pathql(graph, text, view=views["graph"])) \
+            == _pathql_rows(run_pathql(graph, text)), f"{where} {text!r}"
+    for text in views["cypher"]:
+        served = run_cypher(views["pgstore"], text, view=views["store"])
+        plain = run_cypher(views["pgstore"], text)
+        assert (served.columns, served.rows) == (plain.columns, plain.rows), \
+            f"{where} {text!r}"
+    for text in views["sparql"]:
+        served = run_sparql(triples, text, view=views["triples"])
+        plain = run_sparql(triples, text)
+        assert (served.variables, served.rows) == \
+            (plain.variables, plain.rows), f"{where} {text!r}"
+
+
+def test_recompute_views_follow_mutations() -> None:
+    """Count and frontend views (the footprint-recompute strategy) answer
+    exactly what a run with no cache and no view answers, after every
+    random mutation of the graph or of the triple store.
+
+    Per seed the views must both re-stamp across some footprint-disjoint
+    mutation and recompute after some intersecting one, so neither half
+    of the invalidation rule goes untested.
+    """
+    from repro.ivm import ViewRegistry
+    from repro.query.cypherish import store_for_graph
+    from repro.storage import TripleStore
+    from tests.test_cache_metamorphic import (
+        CYPHER_TEMPLATES,
+        SPARQL_TEMPLATES,
+        _pathql_text,
+        _random_triple,
+    )
+
+    for seed in SEEDS:
+        rng = random.Random(940_000 + seed)
+        restamps = recomputes = registered = 0
+        for trial in range(RECOMPUTE_GRAPHS):
+            graph = random_property_graph(rng)
+            triples = TripleStore()
+            for _ in range(rng.randint(3, 8)):
+                triples.add(*_random_triple(rng))
+            pgstore = store_for_graph(graph)
+            views = {
+                "graph": ViewRegistry(graph),
+                "store": ViewRegistry(pgstore),
+                "triples": ViewRegistry(triples),
+                "pgstore": pgstore,
+                "counts": [(f"count{i}", parse_regex(random_regex_text(rng)),
+                            rng.randint(0, 3)) for i in range(2)],
+                "pathql": [_pathql_text(rng) for _ in range(2)],
+                "cypher": rng.sample(CYPHER_TEMPLATES, 2),
+                "sparql": rng.sample(SPARQL_TEMPLATES, 2),
+            }
+            for name, regex, k in views["counts"]:
+                views["graph"].register_count(name, regex, k)
+            tag = f"seed={seed} t{trial}"
+            _check_recompute_views(graph, triples, views, f"{tag} initial")
+            for step in range(RECOMPUTE_STEPS):
+                if rng.random() < 0.7:
+                    move = random_mutation(rng, graph, f"{tag}s{step}")
+                else:
+                    triple = _random_triple(rng)
+                    move = "remove" if rng.random() < 0.3 else "add"
+                    getattr(triples, move)(*triple)
+                _check_recompute_views(graph, triples, views,
+                                       f"{tag} step {step} after {move}")
+            for registry in (views["graph"], views["store"],
+                             views["triples"]):
+                for stats in registry.stats().values():
+                    assert stats["strategy"] == "footprint-recompute"
+                    restamps += stats["restamps"]
+                    recomputes += stats["full_recomputes"]
+                    registered += 1
+        assert registered == 8 * RECOMPUTE_GRAPHS
+        assert restamps >= 1, (seed, restamps)
+        assert recomputes - registered >= 1, (seed, recomputes, registered)
+
+
+def test_recompute_view_truncated_history_recomputes() -> None:
+    """Mutations past the log's horizon count one truncation and force a
+    recompute, even when every one of them misses the footprint."""
+    from repro.cache import MutationLog
+    from repro.core.rpq import count_paths_exact
+    from repro.ivm import ViewRegistry
+    from repro.models import figure2_property
+
+    graph = figure2_property()
+    graph.mutation_log = MutationLog(capacity=2)
+    registry = ViewRegistry(graph)
+    regex = parse_regex("contact/contact^-")
+    view = registry.register_count("c", regex, 2)
+    expected = count_paths_exact(graph, regex, 2)
+    assert view.result() == expected
+    for step in range(3):  # footprint-disjoint, but they overflow the log
+        graph.set_node_property("n1", "name", f"Julia {step}")
+    assert view.result() == expected
+    stats = view.stats()
+    assert stats["truncations"] == 1, stats
+    assert stats["full_recomputes"] == 2 and stats["restamps"] == 0, stats
+    graph.set_node_property("n1", "name", "Julia")  # within the horizon
+    assert view.result() == expected
+    assert view.stats()["restamps"] == 1, view.stats()
+
+
+def test_degraded_count_is_served_but_not_pinned() -> None:
+    """A budget-degraded PathQL COUNT reaches the caller through the view,
+    but the view keeps no degraded answer: the next serve recomputes an
+    exact one, and the serve after that answers from the pinned value."""
+    from repro.exec import Budget, Context
+    from repro.ivm import ViewRegistry
+    from repro.models import figure2_property
+    from repro.query.pathql import run_pathql
+
+    graph = figure2_property()
+    registry = ViewRegistry(graph)
+    text = "PATHS MATCHING (contact + rides + rides^-)* LENGTH 3 COUNT"
+    exact = run_pathql(graph, text)
+    assert exact.quality == "exact" and exact.count > 0
+    degraded = run_pathql(graph, text, view=registry,
+                          ctx=Context(Budget(max_steps=3)))
+    assert degraded.quality != "exact" and degraded.count != exact.count
+    (stats,) = registry.stats().values()
+    assert stats["full_recomputes"] == 1, stats
+    again = run_pathql(graph, text, view=registry)
+    assert _pathql_rows(again) == _pathql_rows(exact)
+    (stats,) = registry.stats().values()
+    assert stats["full_recomputes"] == 2, stats
+    assert _pathql_rows(run_pathql(graph, text, view=registry)) \
+        == _pathql_rows(exact)
+    (stats,) = registry.stats().values()
+    assert stats["full_recomputes"] == 2 and stats["served"] == 3, stats

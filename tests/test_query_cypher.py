@@ -69,6 +69,18 @@ class TestVariableLength:
             MATCH (a {name: "Ana"})-[e:contact*2]->(x) RETURN e""")
         assert result.rows == [(("e7", "e3"),)]
 
+    def test_repeated_edge_list_variable_matches_the_same_list(self, store):
+        # The second occurrence of ``e`` is a check, not a fresh binding:
+        # only the one 2-hop walk the first pattern bound qualifies.
+        result = run_cypher(store, """
+            MATCH (a {name: "Ana"})-[e:contact*2]->(x), (y)-[e*2]->(z)
+            RETURN y, z, e""")
+        assert result.rows == [("n4", "n2", ("e7", "e3"))]
+        # Back to back, the same walk would have to start where it ends.
+        result = run_cypher(store, """
+            MATCH (a)-[e*1..2]->(b)-[e*1..2]->(c) RETURN a, e""")
+        assert result.rows == []
+
 
 class TestWhereAndReturn:
     def test_property_access_and_alias(self, store):
@@ -121,6 +133,15 @@ class TestErrors:
     def test_syntax_rejected(self, store, bad):
         with pytest.raises(QuerySyntaxError):
             run_cypher(store, bad)
+
+    @pytest.mark.parametrize("mixed", [
+        "MATCH (a)-[e:contact]->(b)-[e*1..2]->(c) RETURN DISTINCT e",
+        "MATCH (a)-[x:contact]->(b), (x) RETURN a",
+        "MATCH (a)-[x:contact]->(b), (x:person) RETURN a",
+    ])
+    def test_variable_bound_to_two_kinds_rejected(self, store, mixed):
+        with pytest.raises(QuerySyntaxError, match="bound to both"):
+            run_cypher(store, mixed)
 
     def test_unbound_variable_in_return(self, store):
         with pytest.raises(QueryEvaluationError):

@@ -7,7 +7,7 @@ This file covers the machinery *around* the kernel:
 
 - ``resolve_engine`` contracts, including the numpy-unavailable paths
   (simulated by poking the probe cache — the image always has numpy);
-- the per-(graph, version) adjacency-arrays cache: hits, rebuilds on
+- the per-graph adjacency-arrays memo: hits, rebuilds on
   structural/edge-label mutations, version re-stamping on writes the
   arrays do not encode, truncated-log conservatism, corpse checks;
 - the per-snapshot transition-CSR memo: reuse for a repeated exact label
@@ -37,6 +37,7 @@ from repro.core.rpq.vectorized import (
     clear_adjacency_cache,
     graph_arrays,
 )
+from repro.core.rpq.vectorized import arrays as arrays_module
 from repro.core.rpq.vectorized import engine as engine_module
 from repro.core.rpq.vectorized.engine import AUTO_MIN_NODES, resolve_engine
 from repro.errors import EngineUnavailableError
@@ -46,6 +47,12 @@ from repro.obs import Tracer
 
 SEEDS = tuple(int(seed) for seed in
               os.environ.get("REPRO_FUZZ_SEEDS", "0,1,2").split(","))
+
+
+def snapshot_stamp(graph) -> int:
+    """The version the memoized snapshot of ``graph`` is stamped at."""
+    _, entry = arrays_module._SNAPSHOTS._entries[(id(graph), None)]
+    return entry.version
 
 
 def contact_chain() -> LabeledGraph:
@@ -164,11 +171,11 @@ class TestAdjacencyCache:
     def test_property_write_keeps_entry_and_restamps(self):
         graph = figure2_property()
         first = graph_arrays(graph)
-        stamped = first.version
+        stamped = snapshot_stamp(graph)
         graph.set_node_property("n1", "name", "Julia II")
         second = graph_arrays(graph)
         assert second is first
-        assert first.version == graph.version != stamped
+        assert snapshot_stamp(graph) == graph.version != stamped
         info = adjacency_cache_info()
         assert info["rebuilds"] == 0 and info["hits"] == 1
 
