@@ -177,18 +177,6 @@ class ProductNFA:
 
     # -- words and paths -----------------------------------------------------
 
-    def run(self, word: Iterable[Symbol]) -> frozenset[int]:
-        """Reached state set after reading ``word`` from the initial state."""
-        current = frozenset([INITIAL])
-        for symbol in word:
-            current = self.delta(current, symbol)
-            if not current:
-                return current
-        return current
-
-    def accepts_word(self, word: Iterable[Symbol]) -> bool:
-        return bool(self.run(word) & self.accepts)
-
     def word_to_path(self, word: Iterable[Symbol]) -> Path:
         """Decode a word into the unique path it denotes."""
         word = list(word)

@@ -11,36 +11,19 @@ Three cooperating pieces over the per-graph
   all three frontends) served through the ``view=`` keyword of
   ``run_pathql`` / ``run_sparql`` / ``run_cypher``;
 - :mod:`repro.ivm.temporal` — :func:`as_of` transaction-time travel by
-  inverse replay of payload-carrying records, plus the ``valid_at`` /
-  ``invalid_at`` bi-temporal property helpers.
+  inverse replay of payload-carrying records.
 """
 
 from repro.errors import TimeTravelError, ViewError
 from repro.ivm.delta import IncrementalPairs
-from repro.ivm.temporal import (
-    INVALID_AT,
-    VALID_AT,
-    as_of,
-    edge_valid_at,
-    node_valid_at,
-    set_edge_validity,
-    set_node_validity,
-    subgraph_valid_at,
-)
+from repro.ivm.temporal import as_of
 from repro.ivm.views import MaterializedView, ViewRegistry
 
 __all__ = [
-    "INVALID_AT",
     "IncrementalPairs",
     "MaterializedView",
     "TimeTravelError",
-    "VALID_AT",
     "ViewError",
     "ViewRegistry",
     "as_of",
-    "edge_valid_at",
-    "node_valid_at",
-    "set_edge_validity",
-    "set_node_validity",
-    "subgraph_valid_at",
 ]

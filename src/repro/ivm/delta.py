@@ -10,44 +10,58 @@ scratch.
 The maintained state is the forward fixpoint of the product automaton made
 explicit: a *fact* is a pair ``(q, node)`` — NFA state reached at a graph
 node — whose value is the bit mask of start nodes that reach it (the same
-encoding the scalar engine uses transiently).  Around the facts the engine
-keeps two support indexes:
-
-- ``by_edge[e]``  — the facts with a derivation instance that traverses
-  edge ``e`` (what a removal of ``e`` can invalidate);
-- ``dependents[f]`` — the facts derived (by an edge step or a guarded-
-  epsilon move) from fact ``f`` (how invalidation cascades).
-
-Both indexes are conservative *supersets* of the live derivation graph:
-stale entries cost extra rederivation work, never wrong answers, and they
-are compacted on every full recompute.
+encoding the scalar engine uses transiently).  No support index is kept
+beside the facts.  A fact's *successors* in the live product (its guarded-
+epsilon moves and the edge steps out of its node) are read from the graph
+the first time a sync or a full recompute needs them and memoized until it
+ends, so the forward fixpoint, the over-deletion walk and every revisit of
+a fact share one fetch of its edges.
 
 **Additions** seed a semi-naive forward delta-fixpoint: each net-new edge
-is matched against every NFA transition (scalar per-edge tests, or one
-vectorized pass over :class:`~repro.core.rpq.vectorized.GraphArrays` for
-large batches — see :mod:`repro.ivm.vector`), existing source-fact masks
-flow across it, and the ordinary monotone worklist propagation completes
-the fixpoint from the affected frontier only.
+is matched against every NFA transition, existing source-fact masks flow
+across it, and the ordinary monotone worklist propagation completes the
+fixpoint from the affected frontier only.
 
-**Removals** use delete-and-rederive (DRed) over support *sets*: the facts
-reachable in the dependency graph from any derivation instance of a removed
-edge (or any fact at a removed node) are over-deleted, then rederived by a
-boundary-fixed least fixpoint — each suspect's mask is recomputed from its
-surviving in-neighbors, and forward propagation closes the suspect region.
-Support *counts* would be unsound here: cyclic derivations (``r*`` around a
-cycle) keep each other's counts positive after the external support is
-gone, whereas rederivation from the fixed boundary provably reaches the
-least fixpoint.
+**Removals** use delete-and-rederive (DRed), with the suspects found from
+the live product:
 
-**Fallback.**  Three situations abandon the delta and re-evaluate in full,
+- *Seeds.*  A removed edge is gone from the graph by sync time, so its
+  transition tests cannot be run; every transition counts as one it may
+  have fired.  The ``remove_edge`` record logs the edge's endpoints, and a
+  forward transition ``q1 → q2`` seeds the fact ``(q2, target)`` when
+  ``(q1, source)`` is a fact (an inverse transition swaps the roles).
+- *Removed nodes.*  ``remove_node`` removes a node's edges first, so they
+  arrive as removal records of their own and seed the neighbours.  The
+  facts at a removed node are dropped and never walked.
+- *Over-deletion.*  Every fact reachable from a seed over live product
+  successors is a suspect.  This finds every fact a removal can
+  invalidate: on any derivation that used a removed edge, the steps after
+  the last such edge run over surviving edges, from a seed, through facts.
+  The walk groups the suspects into the strongly connected components of
+  the product restricted to them.
+- *Rederivation.*  Components are rederived upstream first.  The members
+  of one component reach each other, so they share one mask: the union
+  of what each receives from its in-neighbours (the reverse fetch plans)
+  outside the component, which are non-suspects or members of earlier
+  components.  Each suspect is thus recomputed once, instead of once per
+  start bit that reaches it late; forward propagation then reaches the
+  successors that were not facts.  Over-seeding is safe, because a
+  suspect that still has a derivation is restored.  Support *counts*
+  would be unsound here: cyclic derivations (``r*`` around a cycle) keep
+  each other's counts positive after the external support is gone,
+  whereas rederivation from the fixed boundary provably reaches the least
+  fixpoint.
+
+**Fallback.**  Four situations abandon the delta and re-evaluate in full,
 counted in :meth:`IncrementalPairs.stats`: a mutation-log window that no
 longer reaches the view's version (truncation or
-:meth:`~repro.cache.versioning.MutationLog.fast_forward`); a record of a
-kind the engine does not handle exactly (in-place relabels and property
-writes) whose label sets intersect the automaton's *sensitivity footprint*
-(the union of its transition tests' and epsilon guards' footprints); and a
-net delta larger than ``delta_threshold`` edges+nodes, past which the
-delta bookkeeping costs more than one fixpoint.
+:meth:`~repro.cache.versioning.MutationLog.fast_forward`); a structural
+record without the payload the delta rules read; a record of a kind the
+engine does not handle exactly (in-place relabels and property writes)
+whose label sets intersect the automaton's *sensitivity footprint* (the
+union of its transition tests' and epsilon guards' footprints); and a net
+delta larger than ``delta_threshold`` edges+nodes, past which the delta
+bookkeeping costs more than one fixpoint.
 
 All phases checkpoint a governed :class:`~repro.exec.Context` (sites
 ``ivm.delta``, ``ivm.retract``, ``ivm.rederive``, ``ivm.recompute``), and a
@@ -63,7 +77,6 @@ from repro.core.rpq.evaluate import _decode_mask
 from repro.core.rpq.nfa import compile_regex
 from repro.core.rpq.parser import parse_regex
 from repro.core.rpq.product import _edge_fetchers
-from repro.errors import EngineUnavailableError
 
 #: Test-only escape hatch: when True, removal records are dropped on the
 #: floor instead of triggering retraction, deliberately violating the
@@ -121,21 +134,13 @@ class IncrementalPairs:
 
     def __init__(self, graph, regex: Regex | str,
                  start_nodes=None, end_nodes=None, *,
-                 use_label_index: bool = True, engine: str = "auto",
+                 use_label_index: bool = True,
                  delta_threshold: int | None = None) -> None:
         if isinstance(regex, str):
             regex = parse_regex(regex)
-        if engine not in ("auto", "scalar", "vector"):
-            raise ValueError(f"unknown engine {engine!r}")
-        if engine == "vector":
-            from repro.ivm.vector import numpy_available
-            if not numpy_available():
-                raise EngineUnavailableError(
-                    "engine='vector' requested but numpy is not importable")
         self.graph = graph
         self.regex = regex
         self.nfa = compile_regex(regex)
-        self.engine = engine
         self.start_filter = (None if start_nodes is None
                              else frozenset(start_nodes))
         self.end_filter = None if end_nodes is None else frozenset(end_nodes)
@@ -146,7 +151,6 @@ class IncrementalPairs:
             "syncs": 0, "delta_syncs": 0, "full_recomputes": 0,
             "retractions": 0, "rederived": 0, "truncations": 0,
             "threshold_fallbacks": 0, "unhandled_fallbacks": 0,
-            "vector_batches": 0,
         }
         self._poisoned = False
         self._q0 = self.nfa.start
@@ -154,7 +158,7 @@ class IncrementalPairs:
         self._sensitivity = _sensitivity_footprint(self.nfa)
         self._plan = _edge_fetchers(graph, use_label_index)
         # Forward fetch plans per NFA state, and the flat transition list
-        # the addition seeder matches new edges against.
+        # the addition and removal seeders match edges against.
         self._prepared: dict[int, list[tuple]] = {}
         self._transition_list: list[tuple] = []
         for q, transitions in self.nfa.edge_transitions.items():
@@ -171,13 +175,14 @@ class IncrementalPairs:
             self._rev_prepared.setdefault(q2, []).append(
                 (q1, test, inverse, *self._plan(test, not inverse)))
         self._eps_sources = self.nfa.epsilon_transitions.keys()
+        # Memos over the live graph, cleared at every sync and full
+        # recompute: between two syncs the graph changes under them.
         self._closure_cache: dict[tuple, frozenset] = {}
+        self._successor_cache: dict[tuple, list] = {}
         self._trivial_closure: dict[int, frozenset] = {}
         # Maintained state.
         self.masks: dict[tuple, int] = {}
         self.facts_at: dict[object, set[int]] = {}
-        self.by_edge: dict[object, set[tuple]] = {}
-        self.dependents: dict[tuple, set[tuple]] = {}
         self.accept_masks: dict[object, int] = {}
         self._bit_of: dict[object, int] = {}
         self._of_bit: list = []
@@ -238,11 +243,12 @@ class IncrementalPairs:
             if event is not None:
                 if _BREAK_DELTA_RULE and event == "remove":
                     continue
-                if not record.payload:
+                if len(record.payload) < 3:  # (edge, source, target)
                     self.stats["unhandled_fallbacks"] += 1
                     self._recompute(ctx)
                     return
-                edge_first.setdefault(record.payload[0], event)
+                edge_first.setdefault(record.payload[0],
+                                      (event, record.payload))
                 continue
             event = _NODE_EVENTS.get(kind)
             if event is not None:
@@ -265,14 +271,16 @@ class IncrementalPairs:
                 self.stats["unhandled_fallbacks"] += 1
                 self._recompute(ctx)
                 return
+        # A removal keeps the endpoints its first record logged: the edge
+        # as the view last saw it, whatever happened to the id after.
         added_edges, removed_edges = [], []
-        for edge, first in edge_first.items():
+        for edge, (first, payload) in edge_first.items():
             present = graph.has_edge(edge)
             if first == "add":
                 if present:  # churn (add then remove) cancels out
                     added_edges.append(edge)
             else:
-                removed_edges.append(edge)
+                removed_edges.append(payload[1:3])
                 if present:  # removed then re-added, possibly rewired
                     added_edges.append(edge)
         added_nodes, removed_nodes = [], []
@@ -296,6 +304,7 @@ class IncrementalPairs:
             return
         self.stats["delta_syncs"] += 1
         self._closure_cache.clear()
+        self._successor_cache.clear()
         if removed_edges or removed_nodes:
             self._retract(removed_nodes, removed_edges, ctx)
         if added_edges or added_nodes:
@@ -344,13 +353,34 @@ class IncrementalPairs:
             found = self._closure_cache[key] = frozenset(result)
         return found
 
-    def _or_into(self, q: int, node, mask: int, worklist, queued) -> bool:
-        key = (q, node)
+    def _successors(self, key) -> list:
+        """The facts ``key`` steps to in the live product (cached per sync).
+
+        Its guarded-epsilon moves at its node, then one entry per edge it
+        steps over (parallel edges repeat an entry).
+        """
+        found = self._successor_cache.get(key)
+        if found is None:
+            q, node = key
+            graph = self.graph
+            endpoints = graph.endpoints
+            found = [(q2, node) for q2 in self._closure(q, node) if q2 != q]
+            for test, inverse, q2, fetch, skip_test in self._prepared.get(
+                    q, ()):
+                for edge in fetch(node):
+                    if skip_test or test.matches_edge(graph, edge):
+                        source, target = endpoints(edge)
+                        found.append((q2, source if inverse else target))
+            self._successor_cache[key] = found
+        return found
+
+    def _or_into(self, key, mask: int, worklist, queued) -> None:
         old = self.masks.get(key, 0)
-        if mask | old == old:
-            return False
         new = old | mask
+        if new == old:
+            return
         self.masks[key] = new
+        q, node = key
         if not old:
             self.facts_at.setdefault(node, set()).add(q)
         if q == self._accept_q and (
@@ -360,7 +390,6 @@ class IncrementalPairs:
         if key not in queued:
             queued.add(key)
             worklist.append(key)
-        return True
 
     def _drop_fact(self, key) -> None:
         if self.masks.pop(key, None) is None:
@@ -378,9 +407,9 @@ class IncrementalPairs:
     # -- the forward fixpoint ----------------------------------------------
 
     def _propagate(self, worklist, queued, ctx, site: str) -> None:
-        graph = self.graph
-        endpoints = graph.endpoints
         masks = self.masks
+        successors = self._successors
+        or_into = self._or_into
         while worklist:
             if ctx is not None:
                 ctx.checkpoint(site)
@@ -390,33 +419,20 @@ class IncrementalPairs:
             mask = masks.get(key, 0)
             if not mask:
                 continue
-            q, node = key
-            for q2 in self._closure(q, node):
-                if q2 != q:
-                    self.dependents.setdefault(key, set()).add((q2, node))
-                    self._or_into(q2, node, mask, worklist, queued)
-            for test, inverse, q2, fetch, skip_test in self._prepared.get(q, ()):
-                for edge in fetch(node):
-                    if not skip_test and not test.matches_edge(graph, edge):
-                        continue
-                    source, target = endpoints(edge)
-                    w = source if inverse else target
-                    self.by_edge.setdefault(edge, set()).add((q2, w))
-                    self.dependents.setdefault(key, set()).add((q2, w))
-                    self._or_into(q2, w, mask, worklist, queued)
+            for successor in successors(key):
+                or_into(successor, mask, worklist, queued)
 
     def _recompute(self, ctx) -> None:
-        """Rebuild every fact and support index from the live graph."""
+        """Rebuild every fact from the live graph."""
         self.stats["full_recomputes"] += 1
         self.masks.clear()
         self.facts_at.clear()
-        self.by_edge.clear()
-        self.dependents.clear()
         self.accept_masks.clear()
         self._bit_of.clear()
         self._of_bit.clear()
         self._free_bits.clear()
         self._closure_cache.clear()
+        self._successor_cache.clear()
         self._pairs_cache = None
         worklist: list = []
         queued: set = set()
@@ -424,7 +440,7 @@ class IncrementalPairs:
             if ctx is not None:
                 ctx.checkpoint("ivm.recompute")
             if self._is_start(node):
-                self._or_into(self._q0, node, self._bit_for(node),
+                self._or_into((self._q0, node), self._bit_for(node),
                               worklist, queued)
         self._propagate(worklist, queued, ctx, "ivm.recompute")
 
@@ -436,117 +452,133 @@ class IncrementalPairs:
         queued: set = set()
         for node in added_nodes:
             if graph.has_node(node) and self._is_start(node):
-                self._or_into(self._q0, node, self._bit_for(node),
+                self._or_into((self._q0, node), self._bit_for(node),
                               worklist, queued)
-        matches = None
-        if added_edges and self.engine != "scalar":
-            from repro.ivm.vector import bulk_transition_matches
-            matches = bulk_transition_matches(
-                graph, self._transition_list, added_edges,
-                force=self.engine == "vector")
-            if matches is not None:
-                self.stats["vector_batches"] += 1
         for edge in added_edges:
             if ctx is not None:
                 ctx.checkpoint("ivm.delta")
-            if not graph.has_edge(edge):
-                continue
             source, target = graph.endpoints(edge)
-            matched = matches.get(edge) if matches is not None else None
-            for index, (q1, test, inverse, q2) in enumerate(
-                    self._transition_list):
-                if matched is not None:
-                    if index not in matched:
-                        continue
-                elif not test.matches_edge(graph, edge):
+            for q1, test, inverse, q2 in self._transition_list:
+                if not test.matches_edge(graph, edge):
                     continue
                 u1, w = (target, source) if inverse else (source, target)
                 mask = self.masks.get((q1, u1), 0)
                 if mask:
-                    self.by_edge.setdefault(edge, set()).add((q2, w))
-                    self.dependents.setdefault((q1, u1), set()).add((q2, w))
-                    self._or_into(q2, w, mask, worklist, queued)
+                    self._or_into((q2, w), mask, worklist, queued)
         self._propagate(worklist, queued, ctx, "ivm.delta")
 
     # -- removals: delete-and-rederive ---------------------------------------
 
     def _retract(self, removed_nodes, removed_edges, ctx) -> None:
         self.stats["retractions"] += 1
-        graph = self.graph
-        suspects: set = set()
-        stack: list = []
-        for edge in removed_edges:
-            for key in self.by_edge.pop(edge, ()):
-                if key in self.masks and key not in suspects:
-                    suspects.add(key)
-                    stack.append(key)
-        doomed: set = set()
+        masks = self.masks
+        # Seed one transition past each removed edge's logged endpoints,
+        # while the facts at removed nodes still stand as sources.
+        seeds: list = []
+        for source, target in removed_edges:
+            for q1, _test, inverse, q2 in self._transition_list:
+                u1, w = (target, source) if inverse else (source, target)
+                if (q1, u1) in masks:
+                    seeds.append((q2, w))
         for node in removed_nodes:
             for q in tuple(self.facts_at.get(node, ())):
-                key = (q, node)
-                doomed.add(key)
-                if key not in suspects:
-                    suspects.add(key)
-                    stack.append(key)
-        # Over-delete: everything transitively derived from a suspect.
-        while stack:
-            if ctx is not None:
-                ctx.checkpoint("ivm.retract")
-                ctx.note_frontier(len(stack), "ivm.retract")
-            key = stack.pop()
-            for dep in self.dependents.pop(key, ()):
-                if dep in self.masks and dep not in suspects:
-                    suspects.add(dep)
-                    stack.append(dep)
-        for key in suspects:
-            self._drop_fact(key)
-        for node in removed_nodes:
+                self._drop_fact((q, node))
             position = self._bit_of.pop(node, None)
             if position is not None:
                 self._of_bit[position] = None
                 self._free_bits.append(position)
-        # Rederive: recompute each surviving suspect from its in-neighbors
-        # (the non-suspect boundary is already correct), then let forward
-        # propagation close the suspect region to the least fixpoint.
+        components = self._suspect_components(seeds, ctx)
+        for component in components:
+            for key in component:
+                self._drop_fact(key)
+        # Rederive component by component, upstream first.  The members of
+        # a component reach each other, so they share one mask: the union
+        # of what they receive from the non-suspect boundary (already
+        # correct) and from earlier components.  Propagation then carries
+        # the masks to successors that were not facts before the sync.
+        # Every suspect sits at a live node: walks follow live edges, and
+        # a seed at a removed node lost its fact above.
         worklist: list = []
         queued: set = set()
-        survivors = 0
-        for key in suspects:
-            if key in doomed or not graph.has_node(key[1]):
-                continue
+        for component in components:
             if ctx is not None:
                 ctx.checkpoint("ivm.rederive")
-            survivors += 1
-            mask = self._scratch_mask(key)
+            mask = 0
+            for key in component:
+                mask |= self._scratch_mask(key)
             if mask:
-                self._or_into(key[0], key[1], mask, worklist, queued)
-        self.stats["rederived"] += survivors
+                for key in component:
+                    self._or_into(key, mask, worklist, queued)
+            self.stats["rederived"] += len(component)
         self._propagate(worklist, queued, ctx, "ivm.rederive")
+
+    def _suspect_components(self, seeds, ctx) -> list[list]:
+        """Over-deletion: every fact the seeds reach in the live product.
+
+        Returned as the strongly connected components of the product
+        restricted to those facts, in topological order (iterative
+        Tarjan, whose components come out downstream first).
+        """
+        masks = self.masks
+        index: dict = {}
+        low: dict = {}
+        stack: list = []
+        on_stack: set = set()
+        components: list = []
+        for seed in seeds:
+            if seed in index or seed not in masks:
+                continue
+            index[seed] = low[seed] = len(index)
+            stack.append(seed)
+            on_stack.add(seed)
+            work = [(seed, iter(self._successors(seed)))]
+            while work:
+                if ctx is not None:
+                    ctx.checkpoint("ivm.retract")
+                    ctx.note_frontier(len(stack), "ivm.retract")
+                key, successors = work[-1]
+                for successor in successors:
+                    if successor not in index:
+                        if successor in masks:
+                            index[successor] = low[successor] = len(index)
+                            stack.append(successor)
+                            on_stack.add(successor)
+                            work.append((successor,
+                                         iter(self._successors(successor))))
+                            break
+                    elif successor in on_stack and index[successor] < low[key]:
+                        low[key] = index[successor]
+                else:
+                    work.pop()
+                    if work and low[key] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[key]
+                    if low[key] == index[key]:
+                        component = []
+                        while True:
+                            member = stack.pop()
+                            on_stack.discard(member)
+                            component.append(member)
+                            if member == key:
+                                break
+                        components.append(component)
+        components.reverse()
+        return components
 
     def _scratch_mask(self, key) -> int:
         """One fact's mask recomputed from current facts and live edges."""
         q, node = key
         graph = self.graph
+        masks = self.masks
         mask = 0
         if q == self._q0 and self._is_start(node):
             mask |= self._bit_for(node)
         for q1 in self.facts_at.get(node, ()):
-            if q1 == q:
-                continue
-            contributed = self.masks.get((q1, node), 0)
-            if contributed and q in self._closure(q1, node):
-                self.dependents.setdefault((q1, node), set()).add(key)
-                mask |= contributed
+            if q1 != q and q in self._closure(q1, node):
+                mask |= masks[(q1, node)]
         endpoints = graph.endpoints
         for q1, test, inverse, fetch, skip_test in self._rev_prepared.get(q, ()):
             for edge in fetch(node):
-                if not skip_test and not test.matches_edge(graph, edge):
-                    continue
-                source, target = endpoints(edge)
-                u1 = target if inverse else source
-                contributed = self.masks.get((q1, u1), 0)
-                if contributed:
-                    self.by_edge.setdefault(edge, set()).add(key)
-                    self.dependents.setdefault((q1, u1), set()).add(key)
-                    mask |= contributed
+                if skip_test or test.matches_edge(graph, edge):
+                    source, target = endpoints(edge)
+                    mask |= masks.get((q1, target if inverse else source), 0)
         return mask

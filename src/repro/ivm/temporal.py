@@ -1,22 +1,12 @@
-"""Transaction-time travel and bi-temporal validity over the mutation log.
+"""Transaction-time travel over the mutation log.
 
-Two distinct notions of time, deliberately kept orthogonal (the classic
-bi-temporal split, as in graphiti's ``valid_at``/``invalid_at`` schema):
-
-- **Transaction time** — when the *database* learned something.  The
-  mutation log is exactly a transaction-time history, and since every
-  record now carries a payload naming the mutated object and its old
-  state, :func:`as_of` can reconstruct the graph at any retained version by
-  *inverse replay*: copy the current graph, then undo records newest-first.
-  This is O(changes since v), not O(history), and never touches the
-  original graph.
-
-- **Valid time** — when a fact is true *in the modeled world*.  That is
-  ordinary data, carried as the reserved node/edge properties
-  :data:`VALID_AT` / :data:`INVALID_AT` and queried with
-  :func:`subgraph_valid_at` — which works the same at any transaction-time
-  version, so ``subgraph_valid_at(as_of(g, v), t)`` answers "what did we
-  believe at version v about time t".
+Transaction time is when the *database* learned something.  The mutation
+log is exactly a transaction-time history, and since every record now
+carries a payload naming the mutated object and its old state,
+:func:`as_of` can reconstruct the graph at any retained version by
+*inverse replay*: copy the current graph, then undo records newest-first.
+This is O(changes since v), not O(history), and never touches the
+original graph.
 
 Inverse replay processes one logical mutation's record stack newest-first,
 which makes the *richest* layer's record (the one carrying labels and
@@ -31,11 +21,7 @@ version outside the log's bounded window.
 from __future__ import annotations
 
 from repro.cache.versioning import ABSENT, MutationRecord
-from repro.errors import ModelCapabilityError, TimeTravelError
-
-#: Reserved property names of the bi-temporal validity interval.
-VALID_AT = "valid_at"
-INVALID_AT = "invalid_at"
+from repro.errors import TimeTravelError
 
 _REMOVED_EDGE_KINDS = frozenset({
     "remove_edge", "remove_edge.label", "remove_edge.props",
@@ -200,80 +186,3 @@ def _apply_inverse(target, record: MutationRecord) -> None:
         raise TimeTravelError(
             f"record kind {record.kind!r} at version {record.version} "
             "has no inverse rule")
-
-
-# -- valid time ------------------------------------------------------------
-
-
-def set_node_validity(graph, node, valid_at=None, invalid_at=None) -> None:
-    """Set the valid-time interval [valid_at, invalid_at) of a node.
-
-    ``None`` leaves that bound open (and clears a previously set one).
-    Bounds are ordinary property values; they only need to be mutually
-    comparable with the instants passed to the ``*_valid_at`` readers.
-    """
-    _set_validity(graph, node, valid_at, invalid_at,
-                  graph.set_node_property, graph.delete_node_property)
-
-
-def set_edge_validity(graph, edge, valid_at=None, invalid_at=None) -> None:
-    """Set the valid-time interval [valid_at, invalid_at) of an edge."""
-    _set_validity(graph, edge, valid_at, invalid_at,
-                  graph.set_edge_property, graph.delete_edge_property)
-
-
-def _set_validity(graph, item, valid_at, invalid_at, setter, deleter) -> None:
-    for prop, bound in ((VALID_AT, valid_at), (INVALID_AT, invalid_at)):
-        if bound is None:
-            deleter(item, prop)
-        else:
-            setter(item, prop, bound)
-
-
-def _interval_holds(valid_at, invalid_at, at) -> bool:
-    if valid_at is not None and at < valid_at:
-        return False
-    if invalid_at is not None and not at < invalid_at:
-        return False
-    return True
-
-
-def node_valid_at(graph, node, at) -> bool:
-    """Is ``node`` valid-time current at instant ``at``?"""
-    return _interval_holds(graph.node_property(node, VALID_AT),
-                           graph.node_property(node, INVALID_AT), at)
-
-
-def edge_valid_at(graph, edge, at) -> bool:
-    """Is ``edge`` itself valid-time current at instant ``at``?
-
-    Only the edge's own interval; :func:`subgraph_valid_at` additionally
-    requires both endpoints to be valid.
-    """
-    return _interval_holds(graph.edge_property(edge, VALID_AT),
-                           graph.edge_property(edge, INVALID_AT), at)
-
-
-def subgraph_valid_at(graph, at):
-    """The same-typed subgraph of elements valid at instant ``at``.
-
-    Keeps every node whose interval covers ``at`` and every edge whose own
-    interval covers ``at`` *and* whose endpoints survive.  Elements without
-    validity properties are timeless and always kept.
-    """
-    if not hasattr(graph, "node_property"):
-        raise ModelCapabilityError(
-            "valid-time filtering needs a property graph "
-            f"(got {type(graph).__name__})")
-    clone = type(graph)()
-    for node in graph.nodes():
-        if node_valid_at(graph, node, at):
-            clone.add_node(node, graph.node_label(node),
-                           graph.node_properties(node))
-    for edge in graph.edges():
-        source, target = graph.endpoints(edge)
-        if (edge_valid_at(graph, edge, at)
-                and clone.has_node(source) and clone.has_node(target)):
-            clone.add_edge(edge, source, target, graph.edge_label(edge),
-                           graph.edge_properties(edge))
-    return clone

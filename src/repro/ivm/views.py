@@ -217,13 +217,11 @@ class ViewRegistry:
 
     def register_pairs(self, name: str, regex, start_nodes=None,
                        end_nodes=None, *, use_label_index: bool = True,
-                       engine: str = "auto",
                        delta_threshold: int | None = None) -> MaterializedView:
         """An ``endpoint_pairs`` view, maintained by delta propagation."""
         graph = _as_graph(self.target)
         core = IncrementalPairs(graph, regex, start_nodes, end_nodes,
                                 use_label_index=use_label_index,
-                                engine=engine,
                                 delta_threshold=delta_threshold)
         key = ("pairs", core.regex.to_text(),
                None if start_nodes is None else frozenset(start_nodes),
@@ -265,14 +263,6 @@ class ViewRegistry:
         query = parse_pathql(text)
         return self._admit(name, self._pathql_view(
             name, text, _canonical_key(query), pathql_footprint(query)))
-
-    def register_sparql(self, name: str, text: str) -> MaterializedView:
-        from repro.cache import sparql_footprint
-        from repro.query.sparql import parse_sparql
-
-        query = parse_sparql(text)
-        return self._admit(name, self._sparql_view(
-            name, text, ("sparql", text), sparql_footprint(query)))
 
     def register_cypher(self, name: str, text: str) -> MaterializedView:
         from repro.cache import cypher_footprint

@@ -5,6 +5,9 @@ explicitly: self-loops, parallel edges, epsilon-accepting (nullable)
 regexes, add-then-remove churn inside one sync window, and mutations
 that fall off the :class:`~repro.cache.versioning.MutationLog` horizon
 (which must force a conservative full recompute, never a wrong answer).
+A seeded add/remove stream checks the view against a from-scratch
+evaluation after every step, and a removal in one component must
+rederive no fact of another.
 
 The second half is the PR's interop audit: view maintenance is
 read-only with respect to the graph, so a co-resident
@@ -159,11 +162,10 @@ class TestHorizonAndFallbacks:
         assert view.stats["full_recomputes"] >= 2
 
 
-@pytest.mark.skipif(
-    not pytest.importorskip("repro.ivm.vector").numpy_available(),
-    reason="numpy unavailable")
-class TestVectorDelta:
-    def test_vector_engine_matches_scalar(self) -> None:
+class TestSeededDifferential:
+    def test_view_matches_endpoint_pairs(self) -> None:
+        """Random add/remove streams: the view equals a from-scratch
+        evaluation after every step."""
         for seed in (3, 5, 9):
             rng = random.Random(640_000 + seed)
             graph = PropertyGraph()
@@ -174,8 +176,7 @@ class TestVectorDelta:
                                f"n{rng.randrange(10)}",
                                label=rng.choice(("r", "s")))
             regex = parse_regex("(r + s^-)/(?a/r)*")
-            vector = IncrementalPairs(graph, regex, engine="vector")
-            scalar = IncrementalPairs(graph, regex, engine="scalar")
+            view = IncrementalPairs(graph, regex)
             for step in range(20):
                 if rng.random() < 0.6:
                     if rng.random() < 0.5 and graph.edges():
@@ -186,10 +187,40 @@ class TestVectorDelta:
                                        f"n{rng.randrange(10)}",
                                        label=rng.choice(("r", "s")))
                 want = endpoint_pairs(graph, regex)
-                assert vector.pairs() == want, f"seed={seed} step={step}"
-                assert scalar.pairs() == want, f"seed={seed} step={step}"
-            assert vector.stats["vector_batches"] > 0
-            assert scalar.stats["vector_batches"] == 0
+                assert view.pairs() == want, f"seed={seed} step={step}"
+            assert view.stats["delta_syncs"] > 0
+            assert view.stats["retractions"] > 0
+
+
+class TestRemovalLocality:
+    def test_removal_rederives_only_its_component(self) -> None:
+        """Removing an edge rederives facts of its own component only.
+
+        Two disjoint ``r`` cycles, the second three times the size of the
+        first: cutting the small cycle may rederive at most the facts the
+        small cycle held, never one of the large cycle's.
+        """
+        graph = PropertyGraph()
+        for prefix, size in (("a", 4), ("b", 12)):
+            for i in range(size):
+                graph.add_edge(f"{prefix}{i}", f"{prefix}{i}",
+                               f"{prefix}{(i + 1) % size}", label="r")
+        regex = parse_regex("r/(r)*")
+        view = IncrementalPairs(graph, regex)
+        assert view.pairs() == endpoint_pairs(graph, regex)
+        small = sum(1 for _q, node in view.masks if node.startswith("a"))
+        large = sum(1 for _q, node in view.masks if node.startswith("b"))
+        assert 0 < small < large
+        before = dict(view.masks)
+        graph.remove_edge("a1")
+        assert view.pairs() == endpoint_pairs(graph, regex)
+        assert view.stats["full_recomputes"] == 1
+        assert view.stats["retractions"] == 1
+        assert 0 < view.stats["rederived"] <= small, view.stats
+        assert {key: mask for key, mask in view.masks.items()
+                if key[1].startswith("b")} == {
+            key: mask for key, mask in before.items()
+            if key[1].startswith("b")}
 
 
 class TestCacheInterop:
@@ -224,21 +255,19 @@ class TestCacheInterop:
         assert again.count == first.count
 
     def test_arrays_cache_single_rebuild_per_mutation(self) -> None:
-        numpy_mod = pytest.importorskip("repro.ivm.vector")
-        if not numpy_mod.numpy_available():
-            pytest.skip("numpy unavailable")
+        pytest.importorskip("numpy")
         from repro.core.rpq.vectorized.arrays import (
             adjacency_cache_info, clear_adjacency_cache, graph_arrays)
 
         clear_adjacency_cache()
         graph = _chain("rr")
         regex = parse_regex("r/r")
-        view = IncrementalPairs(graph, regex, engine="vector")
+        view = IncrementalPairs(graph, regex)
         view.pairs()
         graph_arrays(graph)
         base = adjacency_cache_info()["rebuilds"]
         graph.add_edge("x0", "c", "a", label="r")
-        view.pairs()          # vector delta sync builds arrays at most once
+        view.pairs()          # a delta sync builds arrays at most once
         graph_arrays(graph)   # subsequent callers reuse that snapshot
         after = adjacency_cache_info()["rebuilds"]
         assert after - base <= 1, adjacency_cache_info()

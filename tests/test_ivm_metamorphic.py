@@ -14,6 +14,11 @@ Validity of the harness itself is established by
 records from the delta stream) must make the harness fail.  A harness
 that stays green under that deliberate bug would be vacuous.
 
+``test_ivm_windowed_mutations`` lands one to five structural moves between
+two syncs — removing a node that still has edges, re-adding a removed edge
+id between new endpoints — which the one-mutation-per-query interleavings
+above never produce.
+
 The count and frontend views of a :class:`~repro.ivm.ViewRegistry`
 recompute instead of propagating deltas; the tests at the end of the file
 hold them to the same invariant (served == a plain run after every
@@ -33,6 +38,8 @@ from repro.core.rpq import endpoint_pairs, parse_regex
 from repro.ivm import IncrementalPairs
 from repro.ivm import delta as ivm_delta
 from tests.test_cache_metamorphic import (
+    EDGE_LABELS,
+    NODE_LABELS,
     random_mutation,
     random_property_graph,
     random_regex_text,
@@ -135,6 +142,84 @@ def test_broken_delta_rule_is_caught(monkeypatch: pytest.MonkeyPatch) -> None:
     with pytest.raises(AssertionError):
         for trial in range(40):
             _check_interleaving(rng, 0.8, f"broken t{trial}")
+
+
+WINDOW_INTERLEAVINGS = 80
+WINDOW_SYNCS = 6
+
+
+def random_window_move(rng: random.Random, graph, tag: str) -> str:
+    """Apply one structural move for the windowed test; return its name.
+
+    The removals the single-mutation stream never makes: a node that
+    still has edges, and an edge id removed and re-added between new
+    endpoints (``rewire_edge``) or a node removed and re-added with one
+    new edge (``readd_node``).  A generator of its own, so that
+    ``random_mutation``'s stream and every test drawing from it stay
+    unchanged.
+    """
+    nodes = sorted(graph.nodes(), key=str)
+    edges = sorted(graph.edges(), key=str)
+    connected = [node for node in nodes if graph.degree(node)]
+    moves = ["add_node"]
+    if nodes:
+        moves += ["add_edge"]
+    if edges:
+        moves += ["remove_edge", "rewire_edge"]
+    if connected:
+        moves += ["remove_node", "readd_node"]
+    move = rng.choice(moves)
+    if move == "add_node":
+        graph.add_node(f"w{tag}", rng.choice(NODE_LABELS))
+    elif move == "add_edge":
+        graph.add_edge(f"w{tag}", rng.choice(nodes), rng.choice(nodes),
+                       rng.choice(EDGE_LABELS))
+    elif move == "remove_edge":
+        graph.remove_edge(rng.choice(edges))
+    elif move == "rewire_edge":
+        edge = rng.choice(edges)
+        graph.remove_edge(edge)
+        graph.add_edge(edge, rng.choice(nodes), rng.choice(nodes),
+                       rng.choice(EDGE_LABELS))
+    else:
+        node = rng.choice(connected)
+        graph.remove_node(node)
+        if move == "readd_node":
+            graph.add_node(node, rng.choice(NODE_LABELS))
+            graph.add_edge(f"w{tag}", node, rng.choice(nodes),
+                           rng.choice(EDGE_LABELS))
+    return move
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_ivm_windowed_mutations(seed: int) -> None:
+    """One to five structural moves land between two syncs.
+
+    After every sync the view must equal a from-scratch evaluation, so a
+    delta rule that only holds for one mutation per sync (or that walks
+    from a removed node) fails here.
+    """
+    rng = random.Random(950_000 + seed)
+    totals: dict[str, int] = {}
+    for trial in range(WINDOW_INTERLEAVINGS):
+        graph = random_property_graph(rng)
+        regex = parse_regex(random_regex_text(rng))
+        view = IncrementalPairs(graph, regex)
+        view.pairs()
+        for sync in range(WINDOW_SYNCS):
+            moves = [random_window_move(rng, graph, f"{trial}.{sync}.{i}")
+                     for i in range(rng.randint(1, 5))]
+            got = view.pairs()
+            want = endpoint_pairs(graph, regex)
+            assert got == want, (
+                f"seed={seed} t{trial} sync {sync} after {moves}: "
+                f"view={sorted(got)!r} fresh={sorted(want)!r} "
+                f"regex={regex.to_text()!r} stats={view.stats}")
+        for key, value in view.stats.items():
+            totals[key] = totals.get(key, 0) + value
+    assert totals["retractions"] >= WINDOW_INTERLEAVINGS, totals
+    assert totals["delta_syncs"] > 3 * (totals["full_recomputes"]
+                                        - WINDOW_INTERLEAVINGS), totals
 
 
 def test_registry_views_follow_mutations() -> None:

@@ -452,6 +452,25 @@ class TestCheckpointHousekeeping:
         with DurableGraph.open(directory) as store:
             assert store.node_count() == 9
 
+    def test_flush_fsyncs_the_wal_under_any_policy(self, tmp_path):
+        """``flush`` forces one fsync even under ``fsync="never"``, and
+        is a no-op on a read-only or closed store."""
+        directory = str(tmp_path / "s")
+        store = DurableGraph.open(directory, fsync="never")
+        populate(store)
+        before = store.stats()["wal"]
+        assert before["appended"] >= 5
+        store.flush()
+        after = store.stats()["wal"]
+        assert after["fsyncs"] == before["fsyncs"] + 1
+        assert after["appended"] == before["appended"]
+        store.close()
+        store.flush()  # closed: nothing to sync, no error
+        with DurableGraph.open(directory, read_only=True) as reader:
+            assert reader.recovery.clean
+            assert reader.node_count() == 2 and reader.edge_count() == 2
+            reader.flush()  # read-only: no writer, no error
+
     def test_read_only_never_touches_disk(self, tmp_path):
         directory = str(tmp_path / "s")
         with DurableGraph.open(directory, fsync="always") as store:
