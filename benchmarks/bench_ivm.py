@@ -231,10 +231,12 @@ def main(argv):
     out_path = "benchmarks/BENCH_ivm.json"
     if "--out" in argv:
         out_path = argv[argv.index("--out") + 1]
+    # Best of three reps in both modes: one rep of the quick schedule
+    # (5-10 ms per mode) moved across the 3x gate with host noise alone.
     report = run_suite(out_path,
                        n_people=40 if quick else 80,
                        rounds=8 if quick else 25,
-                       reps=1 if quick else 3)
+                       reps=3)
     for row in report["rates"]:
         print(f"  rate={row['mutation_rate']:.1f} "
               f"queries={row['queries']:4d} "

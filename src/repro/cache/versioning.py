@@ -38,6 +38,7 @@ import os
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -218,7 +219,12 @@ class MutationLog:
         of the history has been truncated (caller must assume the worst)."""
         if version < self.horizon:
             return None
-        return [r for r in self._records if r.version > version]
+        # Records hold the contiguous versions (horizon, version]: the
+        # newer ones are the last ``self._version - version`` of them.
+        newer = self._version - version
+        if newer <= 0:
+            return []
+        return list(islice(reversed(self._records), newer))[::-1]
 
     def intersects_since(self, version: int, footprint: "Footprint") -> bool:
         """Did any mutation after ``version`` intersect ``footprint``?

@@ -1,8 +1,8 @@
 """The problem Count: how many paths of length k conform to a regex?
 
-Count is SpanL-complete (Alvarez & Jenner), so no polynomial exact algorithm
-is expected.  This module provides the two exact baselines the FPRAS is
-validated against:
+Count is SpanL-complete (Alvarez & Jenner) when the regex is part of the
+input, so no exact algorithm polynomial in both is expected.  This module
+provides the two exact baselines the FPRAS is validated against:
 
 - :func:`count_paths_exact` — dynamic programming over the on-the-fly
   determinization of the product automaton.  Distinct paths are distinct
@@ -13,10 +13,17 @@ validated against:
 - :func:`count_paths_bruteforce` — enumerate [[r]] by the reference
   semantics and filter; only usable on tiny instances, used in tests.
 
+For a fixed regex the determinized automaton is unambiguous, so counting
+paths is counting walks, polynomial in the graph: ``engine="vector"``
+runs that walk count over NFA-state sets without building the product
+(:mod:`repro.core.rpq.vectorized.count`), exact at any size.
+
 Both accept an optional execution :class:`~repro.exec.Context` (``ctx``):
 the subset DP checkpoints once per expanded subset (site ``count.layer``)
 and reports the live-subset frontier, which is exactly where the
-exponential blow-up shows, so deadlines/step budgets interrupt it promptly.
+exponential blow-up shows, so deadlines/step budgets interrupt it promptly
+(the vector kernel does the same per layer and live set, at
+``vector.count``).
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from repro.errors import InvalidLengthError
 
 
 def count_words_exact(product: ProductNFA, length: int, *,
-                      prune: bool = True, ctx=None, back=None) -> int:
+                      prune: bool = True, ctx=None) -> int:
     """Number of distinct accepted words of exactly ``length`` symbols.
 
     ``prune=True`` (the default) intersects every reached subset with the
@@ -39,17 +46,10 @@ def count_words_exact(product: ProductNFA, length: int, *,
     reduction of the determinized state space (merged subsets have equal
     accepted-completion counts).  ``prune=False`` runs the plain subset DP;
     the ablation benchmark quantifies the difference.
-
-    ``back`` optionally supplies precomputed backward layers (``back[j]``
-    = states reaching acceptance in exactly ``j`` steps, ``len(back) >
-    length``) — the vector engine passes its array-swept layers here; the
-    sets are identical to :meth:`ProductNFA.back_layers`, so the DP is
-    unchanged.
     """
     if length < 0:
         raise InvalidLengthError("length", length)
-    if back is None:
-        back = product.back_layers(length)
+    back = product.back_layers(length)
     start = frozenset([INITIAL])
     if prune:
         start &= back[length]
@@ -102,10 +102,12 @@ def count_paths_exact(graph, regex: Regex, k: int,
     regex's label footprint — the same key family the governor's exact rung
     consults, so the two share entries.  A hit spends no budget.
 
-    ``engine="vector"`` (or an ``"auto"`` resolution to it) sweeps the
-    backward layers with the numpy kernel; the subset DP itself stays
-    scalar — exact counting is SpanL-complete and its bigint counts over
-    an ambiguous NFA do not vectorize, the layers do.
+    ``engine="vector"`` (or an ``"auto"`` resolution to it) builds no
+    product: :func:`~repro.core.rpq.vectorized.count.vector_count_paths`
+    counts walks through the determinized NFA-state sets, one count
+    vector per live set, exact at any size (int64 until it could
+    overflow, Python ints past that).  The scalar product DP is the
+    differential oracle.
     """
     if k < 0:
         raise InvalidLengthError("path length k", k)
@@ -135,15 +137,15 @@ def count_paths_exact(graph, regex: Regex, k: int,
     if ctx is not None:
         ctx.stats.notes["engine"] = resolved
         ctx.stats.notes["engine_reason"] = reason
+    if resolved == "vector":
+        from repro.core.rpq.vectorized.count import vector_count_paths
+
+        return vector_count_paths(graph, nfa, k, start_nodes, end_nodes,
+                                  use_label_index=use_label_index, ctx=ctx)
     product = build_product(graph, nfa, start_nodes=start_nodes,
                             end_nodes=end_nodes, use_label_index=use_label_index,
                             ctx=ctx)
-    back = None
-    if resolved == "vector":
-        from repro.core.rpq.vectorized import back_layers_vectorized
-
-        back = back_layers_vectorized(product, k + 1, ctx=ctx)
-    return count_words_exact(product, k + 1, ctx=ctx, back=back)
+    return count_words_exact(product, k + 1, ctx=ctx)
 
 
 def count_paths_bruteforce(graph, regex: Regex, k: int,

@@ -6,8 +6,10 @@ Public surface:
   selector and its size heuristic;
 - :func:`vector_endpoint_pairs` — the bitset/CSR fixpoint kernel, the
   one layout (drop-in equivalent of the scalar product fixpoint);
-- :func:`back_layers_vectorized` — array-swept backward layers feeding
-  the exact-count subset DP;
+- :func:`vector_count_paths` — exact Count without the product: one
+  count vector per live set of NFA states, walked layer by layer
+  (int64 while no layer could overflow, Python ints past that), the
+  drop-in equivalent of the scalar subset DP;
 - :func:`graph_arrays` + :func:`adjacency_cache_info` /
   :func:`clear_adjacency_cache` — the per-graph adjacency snapshots,
   memoized under the structure-only footprint (node and edge sets, edge
@@ -33,20 +35,18 @@ from repro.core.rpq.vectorized.engine import (
     numpy_or_none,
     resolve_engine,
 )
-from repro.core.rpq.vectorized.kernel import (
-    back_layers_vectorized,
-    vector_endpoint_pairs,
-)
+from repro.core.rpq.vectorized.count import vector_count_paths
+from repro.core.rpq.vectorized.kernel import vector_endpoint_pairs
 
 __all__ = [
     "AUTO_MIN_NODES",
     "ENGINES",
     "GraphArrays",
     "adjacency_cache_info",
-    "back_layers_vectorized",
     "clear_adjacency_cache",
     "graph_arrays",
     "numpy_or_none",
     "resolve_engine",
+    "vector_count_paths",
     "vector_endpoint_pairs",
 ]

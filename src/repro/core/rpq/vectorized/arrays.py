@@ -94,10 +94,7 @@ class GraphArrays:
         if use_label_index and self.label_positions is not None:
             labels = test.label_candidates()
             if labels is not None:
-                mask = np.zeros(self.m, dtype=bool)
-                empty = np.empty(0, dtype=np.int32)
-                for label in sorted(labels, key=str):
-                    mask[self.label_positions.get(label, empty)] = True
+                mask = self._label_mask(labels)
                 if not test.label_candidates_exact():
                     edges = self.edges
                     for position in np.flatnonzero(mask):
@@ -126,12 +123,24 @@ class GraphArrays:
         re-stamp the snapshot, so they build afresh on every call.
         ``reused`` says whether the memo answered.
         """
-        key = self._memo_key(test, use_label_index)
+        return self._memoized_csr(
+            self._memo_key(test, use_label_index), inverse,
+            lambda: self.edge_mask(graph, test, use_label_index))
+
+    def label_csr(self, labels: frozenset, inverse: bool):
+        """:meth:`transition_csr` of the exact label set ``labels``,
+        sharing its memo entry: the edges whose label is in ``labels``."""
+        return self._memoized_csr(labels, inverse,
+                                  lambda: self._label_mask(labels))
+
+    def _memoized_csr(self, key, inverse: bool, edge_mask):
+        """The memoized CSR under ``(key, inverse)``, built from
+        ``edge_mask()`` on a miss (``key=None``: never memoized)."""
         if key is not None:
             csr = self._csr_memo.get((key, inverse))
             if csr is not None:
                 return csr, True
-        mask = self.edge_mask(graph, test, use_label_index)
+        mask = edge_mask()
         src = self.src[mask]
         dst = self.dst[mask]
         if inverse:
@@ -151,6 +160,16 @@ class GraphArrays:
         if labels is None or not test.label_candidates_exact():
             return None
         return frozenset(labels)
+
+    def _label_mask(self, labels):
+        """Boolean mask over edge positions: the edges labelled in
+        ``labels``, read off the label-position arrays."""
+        np = numpy_or_none()
+        mask = np.zeros(self.m, dtype=bool)
+        empty = np.empty(0, dtype=np.int32)
+        for label in sorted(labels, key=str):
+            mask[self.label_positions.get(label, empty)] = True
+        return mask
 
     def node_mask(self, graph, guard):
         """Boolean mask over node indices: which nodes satisfy ``guard``."""

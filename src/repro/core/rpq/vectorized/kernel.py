@@ -254,10 +254,13 @@ def back_layers_vectorized(product, max_steps: int, ctx=None):
 
     Returns the identical ``list[frozenset[int]]`` — layer ``j`` holds the
     product states from which an accept state is reachable in exactly
-    ``j`` transitions — so the subset DP of ``count_words_exact`` consumes
-    it unchanged.  The flat (src, dst) arrays are built in one pass over
-    the product's transition tables; each layer is then one boolean
+    ``j`` transitions.  The flat (src, dst) arrays are built in one pass
+    over the product's transition tables; each layer is then one boolean
     gather/scatter instead of a Python walk of predecessor sets.
+
+    Nothing in the program calls it since vector Count stopped building
+    the product (:mod:`repro.core.rpq.vectorized.count`); it stays only
+    because the repository benchmark's layer trace wraps it by name.
     """
     np = numpy_or_none()
     n_states = product.n_states()

@@ -227,6 +227,10 @@ _MODE_STRATEGIES = {
     "sample": "uniform generation over the determinized product",
 }
 
+#: What an exact count runs when its engine resolves to vector: no
+#: product automaton (``core/rpq/vectorized/count.py``).
+_VECTOR_COUNT = "exact count DP over determinized NFA-state sets (no product)"
+
 
 def explain_pathql(graph, text: str, *, governed: bool = False,
                    exact_share: float = 0.5,
@@ -271,6 +275,8 @@ def explain_pathql(graph, text: str, *, governed: bool = False,
             engine, graph,
             footprint_edges=(footprint_edge_count(graph, nfa)
                              if engine == "auto" else None))
+        if details["engine"]["chosen"] == "vector":
+            strategy = _VECTOR_COUNT
     else:
         details["engine"] = _engine_section(
             engine, graph,
@@ -286,10 +292,11 @@ def explain_pathql(graph, text: str, *, governed: bool = False,
 
     details["view"] = _view_section(_canonical_key(query), graph, view, as_of)
     if query.mode == "count" and governed:
+        exact_algorithm = strategy
         strategy = "governed degradation ladder (exact -> FPRAS -> lower bound)"
         remainder_after_exact = 1.0 - exact_share
         details["degradation_ladder"] = [
-            {"rung": "exact", "algorithm": _MODE_STRATEGIES["count"],
+            {"rung": "exact", "algorithm": exact_algorithm,
              "budget_share": exact_share},
             {"rung": "approx", "algorithm": _MODE_STRATEGIES["count-approx"],
              "budget_share": round(remainder_after_exact * approx_share, 6)},

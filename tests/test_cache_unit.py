@@ -8,6 +8,7 @@ weakref identity protection, LRU eviction and stale accounting.
 from __future__ import annotations
 
 import gc
+import random
 
 import pytest
 
@@ -120,6 +121,25 @@ class TestMutationLog:
         log.record("new", properties=("q",))
         assert log.version == 11
         assert [r.kind for r in log.records_since(10)] == ["new"]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_records_since_matches_full_scan(self, seed):
+        """Reading only the newest records answers what filtering every
+        retained record answers, with and without truncation (small
+        capacities and fast-forwards) and for versions on both sides of
+        the horizon and past the current version."""
+        rng = random.Random(seed)
+        log = MutationLog(capacity=rng.choice((1, 3, 8, 64)))
+        for _ in range(60):
+            if rng.random() < 0.05:
+                log.fast_forward(log.version + rng.randint(0, 4))
+            else:
+                log.record("tick", properties=("p",))
+            for version in range(-1, log.version + 3):
+                expected = (None if version < log.horizon else
+                            [r for r in log._records if r.version > version])
+                assert log.records_since(version) == expected, \
+                    (seed, log.version, log.horizon, version)
 
     def test_fast_forward_backwards_is_an_error(self):
         log = MutationLog()

@@ -66,6 +66,12 @@ SITE_DRIVERS = {
     "evaluate.fixpoint": lambda ctx: endpoint_pairs(_GRAPH, STAR, ctx=ctx),
     "evaluate.bfs": lambda ctx: shortest_conforming_length(_GRAPH, STAR,
                                                            "v0", "v0", ctx=ctx),
+    "vector.build": lambda ctx: count_paths_exact(_GRAPH, AMBIGUOUS, 3,
+                                                  engine="vector", ctx=ctx),
+    "vector.count": lambda ctx: count_paths_exact(_GRAPH, AMBIGUOUS, 3,
+                                                  engine="vector", ctx=ctx),
+    "vector.fixpoint": lambda ctx: endpoint_pairs(_GRAPH, STAR,
+                                                  engine="vector", ctx=ctx),
     "sparql.join": lambda ctx: run_sparql(
         _TRIPLES, "SELECT ?x ?y WHERE { ?x <rides> ?y . }", ctx=ctx),
     "sparql.closure": lambda ctx: run_sparql(

@@ -285,6 +285,7 @@ def test_recompute_views_follow_mutations() -> None:
     """
     from repro.ivm import ViewRegistry
     from repro.query.cypherish import store_for_graph
+    from repro.query.pathql import _canonical_key, parse_pathql
     from repro.storage import TripleStore
     from tests.test_cache_metamorphic import (
         CYPHER_TEMPLATES,
@@ -292,6 +293,15 @@ def test_recompute_views_follow_mutations() -> None:
         _pathql_text,
         _random_triple,
     )
+
+    def distinct_pathql(rng, count: int) -> list[str]:
+        """PathQL texts of distinct canonical forms: the registry serves
+        two texts of one form from one view, so a repeat is redrawn."""
+        texts: dict = {}
+        while len(texts) < count:
+            text = _pathql_text(rng)
+            texts.setdefault(_canonical_key(parse_pathql(text)), text)
+        return list(texts.values())
 
     for seed in SEEDS:
         rng = random.Random(940_000 + seed)
@@ -309,7 +319,7 @@ def test_recompute_views_follow_mutations() -> None:
                 "pgstore": pgstore,
                 "counts": [(f"count{i}", parse_regex(random_regex_text(rng)),
                             rng.randint(0, 3)) for i in range(2)],
-                "pathql": [_pathql_text(rng) for _ in range(2)],
+                "pathql": distinct_pathql(rng, 2),
                 "cypher": rng.sample(CYPHER_TEMPLATES, 2),
                 "sparql": rng.sample(SPARQL_TEMPLATES, 2),
             }

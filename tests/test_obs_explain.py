@@ -99,6 +99,30 @@ def test_governed_explain_includes_degradation_ladder():
     assert "degradation_ladder" not in ungoverned.details
 
 
+def test_count_strategy_names_the_resolved_engines_algorithm():
+    """The vector engine counts without a product automaton; EXPLAIN says
+    so wherever ``auto`` resolves vector, and keeps the product DP where
+    the count runs scalar."""
+    from repro.datasets import random_labeled_graph
+
+    graph = random_labeled_graph(80, 480, edge_labels=("r", "s"), rng=5)
+    text = "PATHS MATCHING (r + s)*/r LENGTH 3 COUNT"
+    for engine, expected in (
+            ("auto", "exact count DP over determinized NFA-state sets "
+                     "(no product)"),
+            ("vector", "exact count DP over determinized NFA-state sets "
+                       "(no product)"),
+            ("scalar", "exact subset DP over the product automaton")):
+        plain = explain_pathql(graph, text, engine=engine)
+        assert plain.details["engine"]["chosen"] == (
+            "scalar" if engine == "scalar" else "vector")
+        assert plain.strategy == expected, engine
+        governed = explain_pathql(graph, text, engine=engine, governed=True)
+        exact = governed.details["degradation_ladder"][0]
+        assert exact["rung"] == "exact"
+        assert exact["algorithm"] == expected, engine
+
+
 def test_index_plan_backends():
     graph = figure2_labeled()
     plan = regex_index_plan(graph, parse_regex("contact/?person"))

@@ -17,6 +17,10 @@ This file covers the machinery *around* the kernel:
 - degenerate inputs through the forced vector path: empty graph, lone
   self-loop, parallel same-label edges, non-contiguous/non-integer node
   ids (the id ↔ dense-index remap round-trip);
+- the Count kernel (no product automaton) against the scalar subset DP
+  on seeded property graphs: property, negated and wildcard tests, node
+  guards, self-loops taken both ways, counts past 2**63, endpoint
+  restrictions and its ``vector.count`` budget site;
 - the CLI ``--engine`` flag on the query subcommands and batch mode.
 """
 
@@ -30,7 +34,12 @@ import pytest
 
 from repro.cache.versioning import MutationLog
 from repro.cli import main
-from repro.core.rpq import count_paths_exact, endpoint_pairs, parse_regex
+from repro.core.rpq import (
+    count_paths_bruteforce,
+    count_paths_exact,
+    endpoint_pairs,
+    parse_regex,
+)
 from repro.core.rpq.ast import AndTest, LabelTest, OrTest, PropertyTest
 from repro.core.rpq.vectorized import (
     adjacency_cache_info,
@@ -40,7 +49,9 @@ from repro.core.rpq.vectorized import (
 from repro.core.rpq.vectorized import arrays as arrays_module
 from repro.core.rpq.vectorized import engine as engine_module
 from repro.core.rpq.vectorized.engine import AUTO_MIN_NODES, resolve_engine
-from repro.errors import EngineUnavailableError
+from repro.datasets import complete_multigraph
+from repro.errors import BudgetExceeded, EngineUnavailableError, GraphError
+from repro.exec import Budget, Context
 from repro.models import LabeledGraph, PropertyGraph, figure2_property
 from repro.models.io import dumps
 from repro.obs import Tracer
@@ -409,6 +420,137 @@ class TestDegenerateInputs:
             vector = endpoint_pairs(graph, regex, starts, ends,
                                     engine="vector")
             assert vector == scalar, (starts, ends)
+
+
+def both_counts(graph, regex_text, k, *args, **kwargs):
+    """(scalar count, vector count) for one count_paths_exact query."""
+    regex = parse_regex(regex_text)
+    return (count_paths_exact(graph, regex, k, *args, engine="scalar",
+                              **kwargs),
+            count_paths_exact(graph, regex, k, *args, engine="vector",
+                              **kwargs))
+
+
+def loop_graph(seed: int, loops: bool) -> PropertyGraph:
+    """A seeded 8-node property graph with ``w`` on nodes and edges,
+    parallel edges, and self-loops when ``loops``."""
+    rng = random.Random(seed)
+    graph = PropertyGraph()
+    for i in range(8):
+        graph.add_node(f"v{i}", rng.choice("xy"), {"w": rng.choice("01")})
+    added = 0
+    while added < 20:
+        source, target = rng.randrange(8), rng.randrange(8)
+        if source == target and not loops:
+            continue
+        graph.add_edge(f"e{added}", f"v{source}", f"v{target}",
+                       rng.choice("abc"), {"w": rng.choice("01")})
+        added += 1
+    return graph
+
+
+class TestCountKernel:
+    """``engine="vector"`` Count walks determinized NFA-state sets with no
+    product automaton; the scalar subset DP is its oracle."""
+
+    #: Exact, property, ``|``, ``!`` and wildcard tests; node guards
+    #: before, inside and after stars; both directions out of one state
+    #: set, on the same label and on different ones.
+    QUERIES = (
+        '(a & w="1")/(b | c)*',
+        "!a/(b + c^-)*",
+        "true/(a + b)*/c",
+        "?x/a/?y/(b + c)*",
+        '(a/?w="1")*/b',
+        "(a + a^-)*/?x",
+        "(!c + b^-)*",
+        "a/true^-/?y",
+        '?(w="1" & x)/(a | b)',
+        "(?x + a)*/(b^- + ?y)",
+        "((a | b) + (b | c))*/c",
+    )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_tests_and_guards_match_scalar(self, seed):
+        for loops in (True, False):
+            graph = loop_graph(8_000 + seed, loops)
+            for text in self.QUERIES:
+                for k in range(5):
+                    scalar, vector = both_counts(graph, text, k)
+                    where = f"seed={seed} loops={loops} {text!r} k={k}"
+                    assert vector == scalar, where
+                    if k <= 2:
+                        assert scalar == count_paths_bruteforce(
+                            graph, parse_regex(text), k), where
+
+    def test_self_loop_taken_both_ways_is_one_step(self):
+        graph = LabeledGraph()
+        graph.add_node("u", "x")
+        graph.add_node("v", "x")
+        graph.add_edge("loop", "u", "u", "a")
+        graph.add_edge("uv", "u", "v", "a")
+        # k=1: the loop (once, though both a and a^- take it), u->v, v->u.
+        # k=2: loop/loop, loop/uv, uv/uv^-, uv^-/loop, uv^-/uv; the
+        # first three start with a forward step.
+        for text, k, expected in (("(a + a^-)", 1, 3),
+                                  ("(a + a^-)*", 2, 5),
+                                  ("a/(a + a^-)", 2, 3),
+                                  ("(a + !b^-)*", 2, 5)):
+            scalar, vector = both_counts(graph, text, k)
+            assert vector == scalar == expected, text
+            assert count_paths_bruteforce(graph, parse_regex(text),
+                                          k) == expected, text
+
+    def test_counts_past_int64_stay_exact(self):
+        # Every step from a node of complete_multigraph(n) picks one of n
+        # targets and one of two labels; the paths with an ``a`` somewhere
+        # number n * ((2n)**k - n**k).
+        for text in ("(a + b)*/a/(a + b)*", "(a + !a)*/a/true*"):
+            for n, k in ((2, 2), (2, 3), (3, 30)):
+                graph = complete_multigraph(n)
+                expected = n * ((2 * n) ** k - n ** k)
+                scalar, vector = both_counts(graph, text, k)
+                assert vector == scalar == expected, (text, n, k)
+                if k <= 3:
+                    assert count_paths_bruteforce(
+                        graph, parse_regex(text), k) == expected
+        assert expected > 2 ** 63
+
+    def test_endpoint_restrictions_and_degenerate_inputs(self):
+        graph = loop_graph(3, loops=True)
+        text = "(a + b^-)*/?x"
+        for starts, ends in ((["v1", "v2"], None), (None, ["v0", "ghost"]),
+                             (["v3"], ["v3", "v5"]), ([], None),
+                             (None, [])):
+            for k in (0, 1, 3):
+                scalar, vector = both_counts(graph, text, k, starts, ends)
+                assert vector == scalar, (starts, ends, k)
+        assert both_counts(graph, "?x", 0) == (
+            sum(graph.node_label(node) == "x" for node in graph.nodes()),) * 2
+        for engine in ("scalar", "vector"):
+            with pytest.raises(GraphError):
+                count_paths_exact(graph, parse_regex(text), 2,
+                                  start_nodes=["v1", "ghost"], engine=engine)
+        empty = LabeledGraph()
+        for k in (0, 2):
+            assert both_counts(empty, "a*", k) == (0, 0)
+        with pytest.raises(GraphError):
+            count_paths_exact(empty, parse_regex("a*"), 0,
+                              start_nodes=["ghost"], engine="vector")
+
+    def test_step_budget_stops_at_vector_count(self):
+        graph = complete_multigraph(4)
+        regex = parse_regex("(a + b)*/a/(a + b)*")
+        roomy = Context(Budget(max_steps=10 ** 9))
+        count_paths_exact(graph, regex, 6, engine="vector", ctx=roomy)
+        spent = 10 ** 9 - roomy.steps_left()
+        assert set(roomy.stats.checkpoints) == {"vector.build",
+                                                "vector.count"}
+        with pytest.raises(BudgetExceeded) as excinfo:
+            count_paths_exact(graph, regex, 6, engine="vector",
+                              ctx=Context(Budget(max_steps=spent - 1)))
+        assert excinfo.value.resource == "steps"
+        assert excinfo.value.site == "vector.count"
 
 
 class TestCliEngine:
